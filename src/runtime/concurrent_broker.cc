@@ -111,18 +111,8 @@ common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Me
   }
   const pubsub::PartitionId p = *routed;
   const std::size_t shard = OwnerShard(p);
-  // Every kUnavailable exit populates retry_after with a nonzero, bounded,
-  // depth-scaled backoff — a zero (or untouched) hint makes callers
-  // retry-spin, an unbounded one strands them.
-  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
   if (pool_->ShardFailingOver(shard)) {
-    publish_rejected_->Increment();
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " failing over; retry after " + std::to_string(backoff) +
-                                       "us");
+    return Reject(shard, "failing over", 1, retry_after);
   }
   if (obs::TracingEnabled() && !msg.trace.considered()) {
     // Origin here (not on the shard) so origin→append covers the queue wait.
@@ -137,16 +127,25 @@ common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Me
         (void)pool->core(shard).broker->Publish(topic, std::move(msg), p);
       });
   if (!posted) {
-    publish_rejected_->Increment();
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " saturated; retry after " + std::to_string(backoff) +
-                                       "us");
+    return Reject(shard, "saturated", 1, retry_after);
   }
   publish_accepted_->Increment();
   return common::Status::Ok();
+}
+
+common::Status ConcurrentBroker::Reject(std::size_t shard, const char* why, std::size_t records,
+                                        common::TimeMicros* retry_after) {
+  // Every kUnavailable exit populates retry_after with a nonzero, bounded,
+  // depth-scaled backoff — a zero (or untouched) hint makes callers
+  // retry-spin, an unbounded one strands them. Computed here, on rejection
+  // only: the hint reads the shard's ring depth.
+  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
+  publish_rejected_->Increment(static_cast<std::int64_t>(records));
+  if (retry_after != nullptr) {
+    *retry_after = backoff;
+  }
+  return common::Status::Unavailable("shard " + std::to_string(shard) + " " + why +
+                                     "; retry after " + std::to_string(backoff) + "us");
 }
 
 common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
@@ -202,14 +201,7 @@ common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
           }
         });
     if (rejected) {
-      const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
-      publish_rejected_->Increment(static_cast<std::int64_t>(group_size));
-      if (retry_after != nullptr) {
-        *retry_after = backoff;
-      }
-      return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                         " saturated; retry after " + std::to_string(backoff) +
-                                         "us");
+      return Reject(shard, "saturated", group_size, retry_after);
     }
     publish_accepted_->Increment(static_cast<std::int64_t>(group_size));
     if (accepted != nullptr) {
@@ -256,15 +248,8 @@ common::Status ConcurrentBroker::TryPublishAsync(
   }
   const pubsub::PartitionId p = *routed;
   const std::size_t shard = OwnerShard(p);
-  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
   if (pool_->ShardFailingOver(shard)) {
-    publish_rejected_->Increment();
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " failing over; retry after " + std::to_string(backoff) +
-                                       "us");
+    return Reject(shard, "failing over", 1, retry_after);
   }
   if (obs::TracingEnabled() && !msg.trace.considered()) {
     msg.trace = obs::TraceContext::Start();
@@ -277,13 +262,7 @@ common::Status ConcurrentBroker::TryPublishAsync(
         done(pool->core(shard).broker->Publish(topic, std::move(msg), p));
       });
   if (!posted) {
-    publish_rejected_->Increment();
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " saturated; retry after " + std::to_string(backoff) +
-                                       "us");
+    return Reject(shard, "saturated", 1, retry_after);
   }
   publish_accepted_->Increment();
   return common::Status::Ok();

@@ -217,6 +217,12 @@ class ConcurrentBroker {
       TopicState* state, const pubsub::Message& msg,
       const std::optional<pubsub::PartitionId>& partition);
 
+  // `records` publishes refused at the shard's edge (`why`: "saturated" or
+  // "failing over"): counts them and returns kUnavailable with the shard's
+  // retry hint, also stored in `retry_after` when non-null.
+  common::Status Reject(std::size_t shard, const char* why, std::size_t records,
+                        common::TimeMicros* retry_after);
+
   ShardPool* pool_;
   common::Counter* publish_accepted_;
   common::Counter* publish_rejected_;

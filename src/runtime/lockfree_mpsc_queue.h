@@ -26,7 +26,9 @@
 // stores its flag, then re-checks the slot): either the signaller sees the
 // flag and notifies under the parking mutex, or the parker's re-check sees
 // the slot — no fences, so the protocol is exactly what ThreadSanitizer
-// models.
+// models. Before the consumer parks, its IdlePolicy may poll the same
+// predicate with the flag down; a producer publishing meanwhile then skips
+// the parking mutex and the notify altogether.
 #ifndef SRC_RUNTIME_LOCKFREE_MPSC_QUEUE_H_
 #define SRC_RUNTIME_LOCKFREE_MPSC_QUEUE_H_
 
@@ -40,6 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/idle_policy.h"
+
 namespace runtime {
 
 template <typename T>
@@ -50,9 +54,10 @@ class LockFreeMpscQueue {
   // position p+1" on the same slot, and with one slot those coincide — a
   // second push would overwrite the unconsumed item. (Vyukov's original
   // carries the same requirement.) capacity() reports the clamped value.
-  explicit LockFreeMpscQueue(std::size_t capacity)
+  explicit LockFreeMpscQueue(std::size_t capacity, IdlePolicy idle = {})
       : capacity_(capacity < 2 ? 2 : capacity),
-        slots_(std::make_unique<Slot[]>(capacity_)) {
+        slots_(std::make_unique<Slot[]>(capacity_)),
+        idle_(idle) {
     for (std::size_t i = 0; i < capacity_; ++i) {
       slots_[i].seq.store(i, std::memory_order_relaxed);
     }
@@ -196,7 +201,7 @@ class LockFreeMpscQueue {
         std::this_thread::yield();
         continue;
       }
-      ParkConsumer();
+      idle_.Idle([this] { return Ready(); }, [this] { ParkConsumer(); });
     }
   }
 
@@ -280,17 +285,21 @@ class LockFreeMpscQueue {
     }
   }
 
-  // Parks until the head slot is published or the queue closes. The waiting
-  // flag is raised before the re-check, so a producer publishing after the
-  // flag is visible must also see the flag and notify.
+  // The consumer's wake condition: the head slot is published or the queue
+  // closed. Lock-free; the idle poll and the parked wait both test it.
+  bool Ready() const {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    return slots_[head % capacity_].seq.load(std::memory_order_seq_cst) == head + 1 ||
+           (tail_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
+  }
+
+  // Parks until Ready(). The waiting flag is raised before the re-check, so
+  // a producer publishing after the flag is visible must also see the flag
+  // and notify.
   void ParkConsumer() {
     std::unique_lock<std::mutex> lock(park_mu_);
     consumer_waiting_.store(true, std::memory_order_seq_cst);
-    not_empty_.wait(lock, [this] {
-      const std::uint64_t head = head_.load(std::memory_order_relaxed);
-      return slots_[head % capacity_].seq.load(std::memory_order_seq_cst) == head + 1 ||
-             (tail_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
-    });
+    not_empty_.wait(lock, [this] { return Ready(); });
     consumer_waiting_.store(false, std::memory_order_seq_cst);
   }
 
@@ -323,6 +332,7 @@ class LockFreeMpscQueue {
   std::condition_variable not_full_;
   std::atomic<bool> consumer_waiting_{false};
   std::atomic<int> producers_waiting_{0};
+  IdlePolicy idle_;  // Consumer-confined.
 };
 
 }  // namespace runtime

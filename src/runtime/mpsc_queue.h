@@ -11,21 +11,28 @@
 // and the queue is trivially clean under ThreadSanitizer. Per-producer FIFO
 // order is preserved (a single producer's pushes drain in push order), which
 // the equivalence tests rely on.
+//
+// The count and the closed flag change only under the lock but are atomics,
+// so the consumer's idle poll (IdlePolicy) and size() read them without it.
 #ifndef SRC_RUNTIME_MPSC_QUEUE_H_
 #define SRC_RUNTIME_MPSC_QUEUE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "runtime/idle_policy.h"
+
 namespace runtime {
 
 template <typename T>
 class MpscQueue {
  public:
-  explicit MpscQueue(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
+  explicit MpscQueue(std::size_t capacity, IdlePolicy idle = {})
+      : ring_(capacity == 0 ? 1 : capacity), idle_(idle) {}
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
@@ -36,11 +43,10 @@ class MpscQueue {
   bool TryPush(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || count_ == ring_.size()) {
+      if (!Fits(1)) {
         return false;
       }
-      ring_[(head_ + count_) % ring_.size()] = std::move(item);
-      ++count_;
+      Append(std::move(item));
     }
     not_empty_.notify_one();
     return true;
@@ -53,11 +59,10 @@ class MpscQueue {
   bool TryPush(const T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || count_ == ring_.size()) {
+      if (!Fits(1)) {
         return false;
       }
-      ring_[(head_ + count_) % ring_.size()] = item;
-      ++count_;
+      Append(item);
     }
     not_empty_.notify_one();
     return true;
@@ -72,12 +77,11 @@ class MpscQueue {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || count_ + n > ring_.size()) {
+      if (!Fits(n)) {
         return false;
       }
       for (std::size_t i = 0; i < n; ++i) {
-        ring_[(head_ + count_) % ring_.size()] = std::move(items[i]);
-        ++count_;
+        Append(std::move(items[i]));
       }
     }
     not_empty_.notify_one();
@@ -90,12 +94,11 @@ class MpscQueue {
   bool Push(T&& item) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [this] { return closed_ || count_ < ring_.size(); });
-      if (closed_) {
+      not_full_.wait(lock, [this] { return is_closed() || count() < ring_.size(); });
+      if (is_closed()) {
         return false;
       }
-      ring_[(head_ + count_) % ring_.size()] = std::move(item);
-      ++count_;
+      Append(std::move(item));
     }
     not_empty_.notify_one();
     return true;
@@ -107,12 +110,11 @@ class MpscQueue {
   bool Push(const T& item) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [this] { return closed_ || count_ < ring_.size(); });
-      if (closed_) {
+      not_full_.wait(lock, [this] { return is_closed() || count() < ring_.size(); });
+      if (is_closed()) {
         return false;
       }
-      ring_[(head_ + count_) % ring_.size()] = item;
-      ++count_;
+      Append(item);
     }
     not_empty_.notify_one();
     return true;
@@ -120,23 +122,33 @@ class MpscQueue {
 
   // Pops up to `max` items into `out` (appended), blocking until at least one
   // item is available or the queue is closed and empty. Returns the number
-  // popped; 0 means closed-and-drained, i.e. the consumer should exit.
+  // popped; 0 means closed-and-drained, i.e. the consumer should exit. An
+  // empty ring hands the wait to the IdlePolicy: it may poll Ready() without
+  // the lock before parking on the locked predicate.
   std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
     // Reserve before taking the lock: push_back must never reallocate (or
     // throw) inside the critical section.
     out.reserve(out.size() + (max < ring_.size() ? max : ring_.size()));
+    if (!Ready()) {
+      idle_.Idle([this] { return Ready(); },
+                 [this] {
+                   std::unique_lock<std::mutex> lock(mu_);
+                   not_empty_.wait(lock, [this] { return Ready(); });
+                 });
+    }
     std::size_t popped = 0;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [this] { return closed_ || count_ > 0; });
-      while (popped < max && count_ > 0) {
+      // Only this consumer pops, and a closed ring stays closed while it
+      // runs: Ready() still holds here.
+      std::lock_guard<std::mutex> lock(mu_);
+      while (popped < max && count() > 0) {
         out.push_back(std::move(ring_[head_]));
         // Reset the drained slot: a moved-from task may still pin captured
         // state (shared_ptrs, payloads) until the slot is overwritten — an
         // arbitrarily-later event on an idle queue.
         ring_[head_] = T{};
         head_ = (head_ + 1) % ring_.size();
-        --count_;
+        count_.store(count() - 1, std::memory_order_relaxed);
         ++popped;
       }
     }
@@ -151,7 +163,7 @@ class MpscQueue {
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_relaxed);
     }
     not_empty_.notify_all();
     not_full_.notify_all();
@@ -161,29 +173,40 @@ class MpscQueue {
   // consumer attached (between Stop and Start).
   void Reopen() {
     std::lock_guard<std::mutex> lock(mu_);
-    closed_ = false;
+    closed_.store(false, std::memory_order_relaxed);
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
+  std::size_t size() const { return count(); }
 
   std::size_t capacity() const { return ring_.size(); }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
+  bool closed() const { return is_closed(); }
 
  private:
-  mutable std::mutex mu_;
+  std::size_t count() const { return count_.load(std::memory_order_relaxed); }
+  bool is_closed() const { return closed_.load(std::memory_order_relaxed); }
+
+  // The consumer's wake condition, readable with or without the lock.
+  bool Ready() const { return count() > 0 || is_closed(); }
+
+  // Lock held: room for `n` more items in an open ring.
+  bool Fits(std::size_t n) const { return !is_closed() && count() + n <= ring_.size(); }
+
+  // Lock held and Fits(1): stores `item` behind the newest element.
+  template <typename U>
+  void Append(U&& item) {
+    ring_[(head_ + count()) % ring_.size()] = std::forward<U>(item);
+    count_.store(count() + 1, std::memory_order_relaxed);
+  }
+
+  std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::vector<T> ring_;
-  std::size_t head_ = 0;   // Index of the oldest element.
-  std::size_t count_ = 0;  // Elements currently queued.
-  bool closed_ = false;
+  std::size_t head_ = 0;                 // Index of the oldest element.
+  std::atomic<std::size_t> count_{0};    // Elements queued; written under mu_.
+  std::atomic<bool> closed_{false};      // Written under mu_.
+  IdlePolicy idle_;                      // Consumer-confined.
 };
 
 }  // namespace runtime

@@ -44,6 +44,12 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
   tasks_run_ = &metrics_->counter("runtime.tasks_run");
   batches_run_ = &metrics_->counter("runtime.batches_run");
   post_rejected_ = &metrics_->counter("runtime.post_rejected");
+  idle_polled_ = &metrics_->counter("runtime.idle_polled");
+  idle_parked_ = &metrics_->counter("runtime.idle_parked");
+  // A worker polls its empty ring only if every shard can keep a hardware
+  // thread to itself: with shards >= threads, a polling worker would spin on
+  // the core another shard (or the producer it waits for) needs.
+  const bool may_poll = options_.shards < std::thread::hardware_concurrency();
 
   cores_.reserve(options_.shards);
   queues_.reserve(options_.shards);
@@ -89,7 +95,8 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
       }
     }
     cores_.push_back(std::move(core));
-    queues_.push_back(MakeTaskRing(options_.lockfree_ring, options_.queue_capacity));
+    queues_.push_back(MakeTaskRing(options_.lockfree_ring, options_.queue_capacity,
+                                   IdlePolicy(may_poll, idle_polled_, idle_parked_)));
     failing_over_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 }

@@ -12,6 +12,10 @@
 // Cross-shard operations (topic creation, group membership, multi-range
 // watches, seek-to-time, quiesce) are expressed as fenced multi-shard tasks.
 //
+// An idle worker polls its ring before parking while arrivals are dense and
+// the pool has fewer shards than hardware threads (runtime/idle_policy.h);
+// runtime.idle_polled / runtime.idle_parked count how each idle period ended.
+//
 // Backpressure is explicit and loud: TryPost fails when a shard's queue is
 // full (callers surface kUnavailable with a retry-after hint and the
 // rejection is counted in the MetricsRegistry); Post blocks, which is the
@@ -294,6 +298,8 @@ class ShardPool {
   common::Counter* tasks_run_ = nullptr;
   common::Counter* batches_run_ = nullptr;
   common::Counter* post_rejected_ = nullptr;
+  common::Counter* idle_polled_ = nullptr;
+  common::Counter* idle_parked_ = nullptr;
 };
 
 }  // namespace runtime

@@ -99,6 +99,8 @@ void Subscription::SetReadyHook(std::function<void()> hook) {
 
 void Subscription::FinishCut(const std::shared_ptr<Shared>& shared) {
   Shared& s = *shared;
+  // Count and log the cut before broken() can report it: a consumer that
+  // sees broken() must also find the counter and the kSessionBreak event.
   if (s.disconnect_count != nullptr) {
     s.disconnect_count->Increment();
   }
@@ -111,6 +113,7 @@ void Subscription::FinishCut(const std::shared_ptr<Shared>& shared) {
   std::function<void()> hook;
   {
     std::lock_guard<std::mutex> lock(s.mu);
+    s.broken = true;
     hook = s.ready_hook;
   }
   // Wake the consumer unconditionally (no coalescing): there may be no
@@ -176,8 +179,7 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
           if (!pending) {
             break;  // space stays 0: skip the fetch loop, re-arm below.
           }
-          s.broken = true;
-          cut = true;
+          cut = true;  // FinishCut marks the subscription broken.
           break;
         }
       }

@@ -216,7 +216,8 @@ class Subscription {
   // applies the slow-consumer policy on a full buffer).
   static void PumpShard(const std::shared_ptr<Shared>& shared);
   // kDisconnect finalizer (shard thread): counts the disconnect, logs the
-  // kSessionBreak, and wakes the consumer so it observes broken().
+  // kSessionBreak, then marks the subscription broken and wakes the consumer
+  // so it observes broken().
   static void FinishCut(const std::shared_ptr<Shared>& shared);
 
   ShardPool* pool_;

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/idle_policy.h"
 #include "runtime/lockfree_mpsc_queue.h"
 #include "runtime/mpsc_queue.h"
 
@@ -41,7 +42,7 @@ class TaskRing {
 template <typename Queue>
 class TaskRingImpl final : public TaskRing {
  public:
-  explicit TaskRingImpl(std::size_t capacity) : queue_(capacity) {}
+  TaskRingImpl(std::size_t capacity, IdlePolicy idle) : queue_(capacity, idle) {}
 
   bool TryPush(Task&& task) override { return queue_.TryPush(std::move(task)); }
   bool TryPushBatch(Task* tasks, std::size_t n) override {
@@ -61,11 +62,13 @@ class TaskRingImpl final : public TaskRing {
   Queue queue_;
 };
 
-inline std::unique_ptr<TaskRing> MakeTaskRing(bool lockfree, std::size_t capacity) {
+// `idle` decides whether the ring's consumer polls before it parks.
+inline std::unique_ptr<TaskRing> MakeTaskRing(bool lockfree, std::size_t capacity,
+                                              IdlePolicy idle) {
   if (lockfree) {
-    return std::make_unique<TaskRingImpl<LockFreeMpscQueue<Task>>>(capacity);
+    return std::make_unique<TaskRingImpl<LockFreeMpscQueue<Task>>>(capacity, idle);
   }
-  return std::make_unique<TaskRingImpl<MpscQueue<Task>>>(capacity);
+  return std::make_unique<TaskRingImpl<MpscQueue<Task>>>(capacity, idle);
 }
 
 }  // namespace runtime

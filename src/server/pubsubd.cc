@@ -61,11 +61,8 @@ struct Server::WatchQueue {
 class Server::WatchFan : public watch::WatchCallback {
  public:
   WatchFan(std::shared_ptr<NudgeGate> gate, std::shared_ptr<WatchQueue> queue,
-           std::uint64_t session_id, std::size_t max_queue)
-      : gate_(std::move(gate)),
-        queue_(std::move(queue)),
-        session_id_(session_id),
-        max_queue_(max_queue) {}
+           std::size_t max_queue)
+      : gate_(std::move(gate)), queue_(std::move(queue)), max_queue_(max_queue) {}
 
   void OnEvent(const common::ChangeEvent& event) override {
     net::WatchItem item;
@@ -112,13 +109,12 @@ class Server::WatchFan : public watch::WatchCallback {
     }
     std::lock_guard<std::mutex> lock(gate_->mu);
     if (gate_->server != nullptr) {
-      gate_->server->Nudge(session_id_);
+      gate_->server->WakeLoop();
     }
   }
 
   std::shared_ptr<NudgeGate> gate_;
   std::shared_ptr<WatchQueue> queue_;
-  std::uint64_t session_id_;
   std::size_t max_queue_;
 };
 
@@ -201,6 +197,7 @@ common::Status Server::Start() {
   wake_tx_ = net::Fd(pipefd[1]);
   (void)net::SetNonBlocking(wake_rx_.get());
   (void)net::SetNonBlocking(wake_tx_.get());
+  wake_pending_.store(false, std::memory_order_relaxed);  // The new pipe is empty.
   {
     // Re-arm the gate (Start after Stop reuses the server).
     std::lock_guard<std::mutex> lock(gate_->mu);
@@ -246,16 +243,7 @@ void Server::Stop() {
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     completions_.clear();
-    ready_sessions_.clear();
   }
-}
-
-void Server::Nudge(std::uint64_t session_id) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    ready_sessions_.push_back(session_id);
-  }
-  WakeLoop();
 }
 
 void Server::PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint64_t request_id,
@@ -269,6 +257,13 @@ void Server::PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint6
 
 void Server::WakeLoop() {
   if (!wake_tx_.valid()) {
+    return;
+  }
+  // Only the false→true edge writes. While the flag is up, a byte is in the
+  // pipe or the loop has yet to clear the flag, and the loop clears it
+  // before it swaps the pending lists: everything queued before this call
+  // is picked up by that swap or a later one.
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
   const char b = 1;
@@ -325,11 +320,15 @@ void Server::Loop() {
       while (::read(wake_rx_.get(), drain, sizeof(drain)) > 0) {
       }
     }
+    // Re-arm the wake edge before taking the lists: a wake raised from here
+    // on writes the pipe again, so its work cannot wait out the poll timeout.
+    // (An exchange, so a wake raised before it — Stop()'s included —
+    // happens-before the swap and the stop_ check.)
+    wake_pending_.exchange(false, std::memory_order_acq_rel);
     std::vector<Completion> completions;
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
       completions.swap(completions_);
-      ready_sessions_.clear();  // The unconditional pump below covers them.
     }
 
     if (pfds[0].revents != 0) {
@@ -741,11 +740,10 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         return;
       }
       const std::shared_ptr<NudgeGate> gate = gate_;
-      const std::uint64_t sid = s.id;
-      sub->SetReadyHook([gate, sid] {
+      sub->SetReadyHook([gate] {
         std::lock_guard<std::mutex> lock(gate->mu);
         if (gate->server != nullptr) {
-          gate->server->Nudge(sid);
+          gate->server->WakeLoop();
         }
       });
       SubStream stream;
@@ -777,7 +775,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       }
       auto stream = std::make_unique<WatchStream>();
       stream->queue = std::make_shared<WatchQueue>();
-      stream->fan = std::make_unique<WatchFan>(gate_, stream->queue, s.id,
+      stream->fan = std::make_unique<WatchFan>(gate_, stream->queue,
                                                options_.max_watch_queue);
       if (req.has_filter) {
         // low/high and the filter's range are encoded to agree; intersecting

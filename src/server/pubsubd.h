@@ -131,11 +131,11 @@ class Server {
   struct Completion;
 
   void Loop();
+  // Cross-thread entry points (shard-side callbacks, via the nudge gate).
+  // WakeLoop alone serves a ready hook, since every loop turn pumps every
+  // session; PushCompletion enqueues a finished async response, then wakes
+  // the loop.
   void WakeLoop();
-  // Cross-thread entry points (shard-side callbacks, via the nudge gate):
-  // mark a session as having pushable data / enqueue a finished async
-  // response, then wake the loop.
-  void Nudge(std::uint64_t session_id);
   void PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint64_t request_id,
                       std::string payload);
   void AcceptNew();
@@ -174,9 +174,12 @@ class Server {
   std::uint64_t next_session_id_ = 1;
 
   std::mutex pending_mu_;
-  std::vector<Completion> completions_;          // Shard threads → loop.
-  std::vector<std::uint64_t> ready_sessions_;    // Ready-hook nudges.
-  std::shared_ptr<NudgeGate> gate_;              // Closed by Stop().
+  std::vector<Completion> completions_;  // Shard threads → loop.
+  std::shared_ptr<NudgeGate> gate_;      // Closed by Stop().
+  // Raised by the WakeLoop call that writes the self-pipe (later calls see it
+  // up and skip the write), lowered by the loop before it takes the pending
+  // lists: at most one pipe write per loop turn.
+  std::atomic<bool> wake_pending_{false};
 
   // Hot counters resolved once.
   common::Counter* sessions_opened_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -543,6 +544,48 @@ TEST(ServerTest, BackpressurePropagatesRetryAfterOverTheWire) {
   auto retrying = h.Connect();
   ASSERT_TRUE(retrying.ok());
   EXPECT_TRUE((*retrying)->Publish("bp", "k2", "v2").ok());
+}
+
+// Shard-side wakes are coalesced: only the WakeLoop call that raises the
+// wake flag writes the self-pipe, and the loop lowers it before taking the
+// pending lists. A kOffset publish to a partition with 3 streams raises four
+// wakes (the ack's completion, one ready hook per stream), often while the
+// loop is mid-turn. The first rounds let the loop sit in poll(), whose
+// timeout is 100 ms with the default heartbeat, before publishing; the rest
+// run back to back, so wakes land at every point of a turn. A lost wake
+// would hold the ack or a DELIVER until that timeout fired.
+TEST(ServerTest, CoalescedWakeupsNeverWaitOutThePollTimeout) {
+  Harness h;
+  auto pub = h.Connect();
+  auto sub_conn = h.Connect();
+  ASSERT_TRUE(pub.ok());
+  ASSERT_TRUE(sub_conn.ok());
+  ASSERT_TRUE((*pub)->CreateTopic("fan", {.partitions = 1}).ok());
+  std::vector<std::unique_ptr<client::Subscription>> subs;
+  for (int i = 0; i < 3; ++i) {
+    auto sub = (*sub_conn)->Subscribe("fan", 0, 0);
+    ASSERT_TRUE(sub.ok()) << sub.status().message();
+    subs.push_back(std::move(*sub));
+  }
+
+  std::chrono::steady_clock::duration slowest{};
+  for (int round = 0; round < 1000; ++round) {
+    if (round < 10) {
+      SleepUs(120'000);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    pubsub::PublishResult pr;
+    ASSERT_TRUE((*pub)->Publish("fan", "k", "v", 0, net::PublishAck::kOffset, &pr).ok());
+    EXPECT_EQ(pr.offset, static_cast<pubsub::Offset>(round));
+    for (auto& sub : subs) {
+      std::vector<pubsub::StoredMessage> got;
+      ASSERT_EQ(sub->Poll(&got, 1, 5'000'000), 1u) << "stream stalled in round " << round;
+      EXPECT_EQ(got[0].offset, static_cast<pubsub::Offset>(round));
+    }
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(slowest, std::chrono::milliseconds(50))
+      << "a round trip waited for the loop's poll timeout: a wake-up was lost";
 }
 
 TEST(ServerTest, GoodbyeIsGracefulNotASessionBreak) {

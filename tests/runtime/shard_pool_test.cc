@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -213,6 +214,45 @@ TEST(ShardPoolTest, PinShardsPinsWorkersWhenCapacityAllows) {
   EXPECT_EQ(pool.pinned_shards(), 1u);
 #endif
   pool.Stop();
+}
+
+TEST(ShardPoolTest, IdleWorkersPollOnlyWithAHardwareThreadToSpare) {
+  // Dense round trips to shard 0: each task lands ~20 us after the worker
+  // ran the previous one, far inside the poll limit.
+  const auto dense_round_trips = [](ShardPool& pool) {
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 64; ++i) {
+      const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ASSERT_TRUE(pool.TryPost(0, [&ran] { ran.fetch_add(1); }));
+      while (ran.load() <= i) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  const std::size_t cpus = std::thread::hardware_concurrency();
+  if (cpus >= 2) {
+    ShardPool pool(SmallOptions(1));
+    pool.Start();
+    // While other processes hold every core, each poll times out with this
+    // thread descheduled; retry until the host leaves both threads a core.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    do {
+      dense_round_trips(pool);
+    } while (pool.metrics().counter("runtime.idle_polled").value() == 0 &&
+             std::chrono::steady_clock::now() < deadline);
+    pool.Stop();
+    EXPECT_GT(pool.metrics().counter("runtime.idle_polled").value(), 0);
+  }
+  // As many shards as hardware threads: a polling worker would spin on a
+  // core another shard needs, so every idle period parks at once.
+  ShardPool pool(SmallOptions(cpus));
+  pool.Start();
+  dense_round_trips(pool);
+  pool.Stop();
+  EXPECT_EQ(pool.metrics().counter("runtime.idle_polled").value(), 0);
+  EXPECT_GT(pool.metrics().counter("runtime.idle_parked").value(), 0);
 }
 
 TEST(ShardPoolTest, PinShardsOffByDefault) {
