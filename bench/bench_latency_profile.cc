@@ -112,7 +112,6 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
   options.shards = shards;
   options.queue_capacity = 8192;
   options.max_batch = 256;
-  options.event_driven = event_consumers;
   for (std::size_t s = 1; s < shards; ++s) {
     options.watch_splits.push_back(SplitPoint(s, shards));
   }

@@ -118,8 +118,6 @@ PointResult RunPoint(const PointConfig& cfg) {
   runtime::RuntimeOptions options;
   options.shards = cfg.shards;
   options.queue_capacity = 4096;
-  options.event_driven = true;
-  options.lockfree_ring = true;
   options.pin_shards = true;
   runtime::ShardPool pool(options);
   runtime::ConcurrentBroker broker(&pool);

@@ -23,13 +23,10 @@
 // pushes at append time), so stopping the clock at Quiesce would credit the
 // periodic mode for consumer work it had merely deferred.
 //
-// Data-plane A/B (the lock-free ring + batched-publish work): --ring selects
-// the shard ingress ring (mutex | lockfree; default runs BOTH and tags each
-// row), --publish-batch=N stages N records per arena-backed PublishBatch
-// (0 = auto: 1 on the mutex ring, 512 on the lock-free ring — each ring's
-// intended posture), and --smoke runs a quick 1-shard publish-only A/B of
-// mutex-singles vs lockfree-batched and exits nonzero if the lock-free data
-// plane fails to beat the mutex baseline — the CI perf gate.
+// Data plane: --publish-batch=N (default 1) stages N records per
+// arena-backed PublishBatch, and --smoke runs a quick 1-shard publish-only
+// A/B of batch 512 against batch 1 (best of 2 runs each) and exits nonzero
+// if the batched run is slower — the CI perf gate.
 //
 // Load modes: the default is the classic closed loop (producers retry
 // through backpressure as fast as the runtime admits — peak-capacity
@@ -44,8 +41,7 @@
 //
 //   ./bench_runtime_throughput [--messages=N] [--producers=P] [--consumers=C]
 //                              [--watchers=W] [--consumer-mode=event|periodic]
-//                              [--ring=mutex|lockfree] [--publish-batch=N]
-//                              [--arrival-rate=N] [--theta=F]
+//                              [--publish-batch=N] [--arrival-rate=N] [--theta=F]
 //                              [--smoke] [--json=PATH]
 #include <algorithm>
 #include <atomic>
@@ -111,7 +107,6 @@ class LatencyCallback : public watch::WatchCallback {
 
 struct RunResult {
   std::size_t shards = 0;
-  bool lockfree = false;
   int publish_batch = 1;
   double elapsed_sec = 0;
   std::int64_t messages = 0;  // Closed loop: publishes == ingests. Open loop: offered arrivals.
@@ -133,9 +128,9 @@ common::Key SplitPoint(std::size_t i, std::size_t n) {
   return common::Key(1, static_cast<char>('a' + (26 * i) / n));
 }
 
-// `lockfree` selects the shard ingress ring; `publish_batch` > 1 stages that
-// many records per arena-backed PublishBatch (one key per batch, so the batch
-// is a single shard group and its retry-on-kUnavailable is all-or-nothing);
+// `publish_batch` > 1 stages that many records per arena-backed PublishBatch
+// (one key per batch, so the batch is a single shard group and its
+// retry-on-kUnavailable is all-or-nothing);
 // `publish_only` drops the watch-plane ingest so a --smoke A/B measures the
 // pubsub data plane in isolation.
 // `arrival_rate` > 0 switches the publish plane to open-loop mode: the rate
@@ -143,15 +138,12 @@ common::Key SplitPoint(std::size_t i, std::size_t n) {
 // schedule for per_producer arrivals with ONE TryPublish per arrival
 // (`theta` skews the keys); 0 is the classic closed loop.
 RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers,
-                  int per_producer, bool trace, bool event_consumers, bool lockfree,
-                  int publish_batch, bool publish_only, double arrival_rate = 0,
-                  double theta = 0) {
+                  int per_producer, bool trace, bool event_consumers, int publish_batch,
+                  bool publish_only, double arrival_rate = 0, double theta = 0) {
   runtime::RuntimeOptions options;
   options.shards = shards;
   options.queue_capacity = 8192;
   options.max_batch = 256;
-  options.event_driven = event_consumers;
-  options.lockfree_ring = lockfree;
   for (std::size_t s = 1; s < shards; ++s) {
     options.watch_splits.push_back(SplitPoint(s, shards));
   }
@@ -419,7 +411,6 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
 
   RunResult r;
   r.shards = shards;
-  r.lockfree = lockfree;
   r.publish_batch = publish_batch;
   r.elapsed_sec = std::chrono::duration<double>(elapsed).count();
   r.messages = static_cast<std::int64_t>(producers) * per_producer;
@@ -483,13 +474,12 @@ int main(int argc, char** argv) {
   const int producers = static_cast<int>(IntFlag(argc, argv, "producers", 4));
   const int consumers = static_cast<int>(IntFlag(argc, argv, "consumers", 4));
   const int watchers = static_cast<int>(IntFlag(argc, argv, "watchers", 4));
-  const int publish_batch_flag = static_cast<int>(IntFlag(argc, argv, "publish-batch", 0));
+  const int publish_batch = static_cast<int>(IntFlag(argc, argv, "publish-batch", 1));
   const double arrival_rate = DoubleFlag(argc, argv, "arrival-rate", 0);
   const double theta = DoubleFlag(argc, argv, "theta", 0);
   bool trace = false;
   bool smoke = false;
   std::string consumer_mode = "event";
-  std::string ring = "both";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace") {
@@ -498,27 +488,13 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg.rfind("--consumer-mode=", 0) == 0) {
       consumer_mode = arg.substr(std::string("--consumer-mode=").size());
-    } else if (arg.rfind("--ring=", 0) == 0) {
-      ring = arg.substr(std::string("--ring=").size());
     }
   }
   if (consumer_mode != "event" && consumer_mode != "periodic") {
     std::fprintf(stderr, "--consumer-mode must be event or periodic\n");
     return 1;
   }
-  if (ring != "mutex" && ring != "lockfree" && ring != "both") {
-    std::fprintf(stderr, "--ring must be mutex or lockfree\n");
-    return 1;
-  }
   const bool event_consumers = consumer_mode == "event";
-  // --publish-batch=0 (auto) gives each ring its intended posture: singles on
-  // the mutex ring, 512-record arena batches on the lock-free ring. 512 and
-  // not less because each batch post that finds the shard worker parked pays
-  // a wake + context-switch round trip (~27us on a 1-core host); the batch
-  // must amortize that fixed cost as well as the per-record savings.
-  const auto batch_for = [publish_batch_flag](bool lockfree) {
-    return publish_batch_flag != 0 ? publish_batch_flag : (lockfree ? 512 : 1);
-  };
   const unsigned cores = std::thread::hardware_concurrency();
 #ifdef PUBSUB_OBS_NOOP
   const bool noop_build = true;
@@ -527,15 +503,18 @@ int main(int argc, char** argv) {
 #endif
 
   if (smoke) {
-    // CI perf gate: 1-shard publish-only A/B — mutex ring with singles vs
-    // lock-free ring with its batched posture. Best-of-2 per side to absorb
-    // scheduler noise on small CI hosts; a lock-free result below the mutex
-    // baseline fails the build (the whole point of the new data plane).
-    const auto best_of = [&](bool lockfree) {
+    // CI perf gate: 1-shard publish-only A/B of 512-record arena batches
+    // against singles. 512 and not less because each batch post that finds
+    // the shard worker parked pays a wake + context-switch round trip; the
+    // batch must amortize that fixed cost as well as the per-record savings.
+    // Best-of-2 per side absorbs scheduler noise on small CI hosts; a batched
+    // result below the singles baseline fails the build.
+    constexpr int kSmokeBatch = 512;
+    const auto best_of = [&](int batch) {
       RunResult best;
       for (int rep = 0; rep < 2; ++rep) {
-        RunResult r = RunOnce(1, producers, 0, 0, per_producer, false, event_consumers,
-                              lockfree, batch_for(lockfree), /*publish_only=*/true);
+        RunResult r = RunOnce(1, producers, 0, 0, per_producer, false, event_consumers, batch,
+                              /*publish_only=*/true);
         if (r.msgs_per_sec > best.msgs_per_sec) {
           best = r;
         }
@@ -544,30 +523,30 @@ int main(int argc, char** argv) {
     };
     std::printf("smoke: 1-shard publish-only A/B, %d producers x %d msgs\n", producers,
                 per_producer);
-    const RunResult mutex_r = best_of(false);
-    const RunResult lockfree_r = best_of(true);
-    const double gain = lockfree_r.msgs_per_sec / mutex_r.msgs_per_sec;
-    std::printf("  mutex ring   (batch=%d): %.0f msgs/sec\n", mutex_r.publish_batch,
-                mutex_r.msgs_per_sec);
-    std::printf("  lockfree ring (batch=%d): %.0f msgs/sec  (%.2fx)\n",
-                lockfree_r.publish_batch, lockfree_r.msgs_per_sec, gain);
+    const RunResult single_r = best_of(1);
+    const RunResult batched_r = best_of(kSmokeBatch);
+    const double gain = batched_r.msgs_per_sec / single_r.msgs_per_sec;
+    std::printf("  batch=1:   %.0f msgs/sec\n", single_r.msgs_per_sec);
+    std::printf("  batch=%d: %.0f msgs/sec  (%.2fx)\n", kSmokeBatch, batched_r.msgs_per_sec,
+                gain);
     if (const auto json_path = bench::JsonPathFlag(argc, argv)) {
       bench::Json doc = bench::Json::Object();
       doc["bench"] = "bench_runtime_throughput_smoke";
       doc["hardware_concurrency"] = static_cast<std::int64_t>(cores);
-      doc["mutex_msgs_per_sec"] = mutex_r.msgs_per_sec;
-      doc["lockfree_msgs_per_sec"] = lockfree_r.msgs_per_sec;
-      doc["lockfree_gain"] = gain;
+      doc["single_msgs_per_sec"] = single_r.msgs_per_sec;
+      doc["batched_msgs_per_sec"] = batched_r.msgs_per_sec;
+      doc["publish_batch"] = static_cast<std::int64_t>(kSmokeBatch);
+      doc["batch_gain"] = gain;
       if (!doc.WriteFile(*json_path)) {
         std::fprintf(stderr, "failed to write %s\n", json_path->c_str());
         return 1;
       }
     }
-    if (lockfree_r.msgs_per_sec < mutex_r.msgs_per_sec) {
+    if (batched_r.msgs_per_sec < single_r.msgs_per_sec) {
       std::fprintf(stderr,
-                   "SMOKE FAIL: lock-free data plane (%.0f msgs/sec) regressed below the "
-                   "mutex baseline (%.0f msgs/sec)\n",
-                   lockfree_r.msgs_per_sec, mutex_r.msgs_per_sec);
+                   "SMOKE FAIL: batched publish (%.0f msgs/sec) regressed below the "
+                   "single-publish baseline (%.0f msgs/sec)\n",
+                   batched_r.msgs_per_sec, single_r.msgs_per_sec);
       return 1;
     }
     std::printf("smoke PASS\n");
@@ -586,43 +565,25 @@ int main(int argc, char** argv) {
   std::printf("host hardware_concurrency: %u%s\n", cores,
               cores < 4 ? " (scaling curve will be flat below 4 cores)" : "");
 
-  std::vector<bool> rings;
-  if (ring == "mutex") {
-    rings = {false};
-  } else if (ring == "lockfree") {
-    rings = {true};
-  } else {
-    rings = {false, true};  // Default: measure both, tag each row.
-  }
   const std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
   std::vector<RunResult> results;
-  for (const bool lockfree : rings) {
-    for (const std::size_t shards : shard_counts) {
-      results.push_back(RunOnce(shards, producers, consumers, watchers, per_producer, trace,
-                                event_consumers, lockfree, batch_for(lockfree),
-                                /*publish_only=*/false, arrival_rate, theta));
-      const RunResult& r = results.back();
-      std::printf("  %s/batch=%d, %zu shard(s): %.0f msgs/sec (%.2fs)\n",
-                  lockfree ? "lockfree" : "mutex", r.publish_batch, shards, r.msgs_per_sec,
-                  r.elapsed_sec);
-    }
+  for (const std::size_t shards : shard_counts) {
+    results.push_back(RunOnce(shards, producers, consumers, watchers, per_producer, trace,
+                              event_consumers, publish_batch, /*publish_only=*/false,
+                              arrival_rate, theta));
+    const RunResult& r = results.back();
+    std::printf("  %zu shard(s): %.0f msgs/sec (%.2fs, batch=%d)\n", shards, r.msgs_per_sec,
+                r.elapsed_sec, r.publish_batch);
   }
 
-  // Speedup is relative to the same ring's 1-shard run (shard-scaling, not
-  // ring-vs-ring; the smoke A/B covers the latter).
-  std::map<bool, double> base;
-  for (const RunResult& r : results) {
-    if (r.shards == 1) {
-      base[r.lockfree] = r.msgs_per_sec;
-    }
-  }
+  // Speedup is relative to the 1-shard run.
+  const double base = results.front().msgs_per_sec;
   bench::Table table("Runtime throughput scaling (publish + ingest per message)",
-                     {"ring", "batch", "shards", "msgs/sec", "p50_us", "p99_us", "delivered",
-                      "consumed", "retries", "speedup", "efficiency"});
+                     {"batch", "shards", "msgs/sec", "p50_us", "p99_us", "delivered", "consumed",
+                      "retries", "speedup", "efficiency"});
   for (const RunResult& r : results) {
-    const double speedup = r.msgs_per_sec / base[r.lockfree];
-    table.AddRow({r.lockfree ? "lockfree" : "mutex",
-                  bench::I(static_cast<std::uint64_t>(r.publish_batch)), bench::I(r.shards),
+    const double speedup = r.msgs_per_sec / base;
+    table.AddRow({bench::I(static_cast<std::uint64_t>(r.publish_batch)), bench::I(r.shards),
                   bench::F(r.msgs_per_sec, 0), bench::F(r.p50_us, 1),
                   bench::F(r.p99_us, 1), bench::I(static_cast<std::uint64_t>(r.delivered)),
                   bench::I(static_cast<std::uint64_t>(r.consumed)),
@@ -654,7 +615,6 @@ int main(int argc, char** argv) {
     bench::Json& runs = doc["runs"] = bench::Json::Array();
     for (const RunResult& r : results) {
       bench::Json& run = runs.Append(bench::Json::Object());
-      run["ring"] = std::string(r.lockfree ? "lockfree" : "mutex");
       run["publish_batch"] = static_cast<std::int64_t>(r.publish_batch);
       run["shards"] = static_cast<std::int64_t>(r.shards);
       run["elapsed_sec"] = r.elapsed_sec;
@@ -668,8 +628,8 @@ int main(int argc, char** argv) {
       run["consumed"] = r.consumed;
       run["publish_retries"] = r.publish_retries;
       run["ingest_retries"] = r.ingest_retries;
-      run["speedup_vs_1_shard"] = r.msgs_per_sec / base[r.lockfree];
-      run["efficiency"] = r.msgs_per_sec / base[r.lockfree] / static_cast<double>(r.shards);
+      run["speedup_vs_1_shard"] = r.msgs_per_sec / base;
+      run["efficiency"] = r.msgs_per_sec / base / static_cast<double>(r.shards);
     }
     doc["table"] = bench::TableJson(table);
     if (!doc.WriteFile(*json_path)) {

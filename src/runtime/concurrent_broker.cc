@@ -371,8 +371,6 @@ std::unique_ptr<Subscription> ConcurrentBroker::Subscribe(const std::string& top
   shared->wake_coalesce_us = options.wake_coalesce_us;
   shared->filter = std::move(options.filter);
   shared->policy = options.slow_consumer;
-  shared->poll_period = pool_->options().subscription_poll_period;
-  shared->event_driven = pool_->options().event_driven;
   shared->wakeup_latency = &pool_->metrics().histogram("runtime.wakeup_latency_us");
   shared->rings = &pool_->metrics().counter("runtime.doorbell_rings");
   shared->stall_count = &pool_->metrics().counter("runtime.slow_consumer.stalls");
@@ -380,10 +378,8 @@ std::unique_ptr<Subscription> ConcurrentBroker::Subscribe(const std::string& top
   shared->disconnect_count = &pool_->metrics().counter("runtime.slow_consumer.disconnects");
   shared->obs = pool_->options().obs;
   auto sub = std::unique_ptr<Subscription>(new Subscription(pool_, shard, shared));
-  if (shared->event_driven) {
-    // First pump adopts the backlog (if any) and parks the shard-side waiter.
-    pool_->Post(shard, [shared] { Subscription::PumpShard(shared); });
-  }
+  // First pump adopts the backlog (if any) and parks the shard-side waiter.
+  pool_->Post(shard, [shared] { Subscription::PumpShard(shared); });
   return sub;
 }
 

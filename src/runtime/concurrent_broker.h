@@ -140,11 +140,10 @@ class ConcurrentBroker {
 
   // -- Subscriptions (the event-driven consume path) ---------------------------
 
-  // Opens a cursor on one partition starting at `start`. In event-driven
-  // pools (RuntimeOptions::event_driven) the owner shard pushes appends into
-  // the subscription's handoff buffer and rings its doorbell; otherwise the
-  // subscription polls synchronously. Returns nullptr for an unknown topic
-  // or out-of-range partition. The subscription must not outlive the pool.
+  // Opens a cursor on one partition starting at `start`. The owner shard
+  // pushes appends into the subscription's handoff buffer and rings its
+  // doorbell. Returns nullptr for an unknown topic or out-of-range
+  // partition. The subscription must not outlive the pool.
   std::unique_ptr<Subscription> Subscribe(const std::string& topic,
                                           pubsub::PartitionId partition, pubsub::Offset start,
                                           SubscriptionOptions options = {});

@@ -1,6 +1,6 @@
 // IdlePolicy: what a shard ring's consumer does when it finds the ring empty
-// — poll, then park. Both rings (MpscQueue, LockFreeMpscQueue) call Idle()
-// from PopBatch, so the rule lives here once.
+// — poll, then park. MpscQueue::PopBatch calls Idle(), so the rule lives
+// here, apart from the ring's locking.
 //
 // Parking costs a round trip through the kernel on both sides of the ring:
 // the producer's notify becomes a futex wake, and the parked worker waits

@@ -10,7 +10,9 @@
 // dequeue amortizes the consumer's lock acquisitions over up to `max` tasks,
 // and the queue is trivially clean under ThreadSanitizer. Per-producer FIFO
 // order is preserved (a single producer's pushes drain in push order), which
-// the equivalence tests rely on.
+// the equivalence tests rely on. A CAS-claimed lock-free ring was measured
+// against it and was no faster at equal publish batch sizes (docs/RUNTIME.md,
+// "The data plane").
 //
 // The count and the closed flag change only under the lock but are atomics,
 // so the consumer's idle poll (IdlePolicy) and size() read them without it.
@@ -43,7 +45,7 @@ class MpscQueue {
   bool TryPush(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!Fits(1)) {
+      if (!Fits()) {
         return false;
       }
       Append(std::move(item));
@@ -59,30 +61,10 @@ class MpscQueue {
   bool TryPush(const T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!Fits(1)) {
+      if (!Fits()) {
         return false;
       }
       Append(item);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // All-or-nothing batch push: accepts all `n` items (moved out) or none
-  // (items untouched). One lock acquisition and one consumer wakeup for the
-  // whole batch — the mutex ring's form of a batched slot claim.
-  bool TryPushBatch(T* items, std::size_t n) {
-    if (n == 0) {
-      return true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!Fits(n)) {
-        return false;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        Append(std::move(items[i]));
-      }
     }
     not_empty_.notify_one();
     return true;
@@ -189,10 +171,10 @@ class MpscQueue {
   // The consumer's wake condition, readable with or without the lock.
   bool Ready() const { return count() > 0 || is_closed(); }
 
-  // Lock held: room for `n` more items in an open ring.
-  bool Fits(std::size_t n) const { return !is_closed() && count() + n <= ring_.size(); }
+  // Lock held: room for one more item in an open ring.
+  bool Fits() const { return !is_closed() && count() < ring_.size(); }
 
-  // Lock held and Fits(1): stores `item` behind the newest element.
+  // Lock held and Fits(): stores `item` behind the newest element.
   template <typename U>
   void Append(U&& item) {
     ring_[(head_ + count()) % ring_.size()] = std::forward<U>(item);

@@ -95,8 +95,8 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
       }
     }
     cores_.push_back(std::move(core));
-    queues_.push_back(MakeTaskRing(options_.lockfree_ring, options_.queue_capacity,
-                                   IdlePolicy(may_poll, idle_polled_, idle_parked_)));
+    queues_.push_back(std::make_unique<MpscQueue<Task>>(
+        options_.queue_capacity, IdlePolicy(may_poll, idle_polled_, idle_parked_)));
     failing_over_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 }
@@ -166,7 +166,7 @@ void ShardPool::FlushSim(ShardCore& core) {
 
 void ShardPool::WorkerLoop(std::size_t shard) {
   ShardCore& core = *cores_[shard];
-  TaskRing& queue = *queues_[shard];
+  MpscQueue<Task>& queue = *queues_[shard];
   std::vector<Task> batch;
   batch.reserve(options_.max_batch);
   for (;;) {
@@ -195,15 +195,6 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
 
 bool ShardPool::TryPost(std::size_t shard, Task task) {
   if (!running_.load(std::memory_order_acquire) || !queues_[shard]->TryPush(std::move(task))) {
-    post_rejected_->Increment();
-    return false;
-  }
-  return true;
-}
-
-bool ShardPool::TryPostBatch(std::size_t shard, Task* tasks, std::size_t n) {
-  if (!running_.load(std::memory_order_acquire) ||
-      !queues_[shard]->TryPushBatch(tasks, n)) {
     post_rejected_->Increment();
     return false;
   }

@@ -39,7 +39,7 @@
 #include "common/types.h"
 #include "obs/collector.h"
 #include "pubsub/broker.h"
-#include "runtime/task_ring.h"
+#include "runtime/mpsc_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "wal/broker_journal.h"
@@ -49,6 +49,8 @@
 
 namespace runtime {
 
+using Task = std::function<void()>;
+
 struct RuntimeOptions {
   // Number of shards (worker threads). Each owns a disjoint set of broker
   // partitions (partition p -> shard p % shards) and a contiguous watch
@@ -56,12 +58,6 @@ struct RuntimeOptions {
   std::size_t shards = 4;
   // Per-shard task queue bound; the backpressure threshold.
   std::size_t queue_capacity = 4096;
-  // Shard ingress ring implementation: false selects the mutex+condvar
-  // MpscQueue, true the CAS-claimed LockFreeMpscQueue. Same contract either
-  // way (the equivalence suites prove identical delivery sequences); the
-  // lock-free ring trades the per-operation lock for a CAS and parks only on
-  // the empty/full edges. See docs/RUNTIME.md and BENCH_runtime.json.
-  bool lockfree_ring = false;
   // Max tasks drained per batch (amortizes queue locking and sim flushing).
   std::size_t max_batch = 256;
   // Pin shard s's worker thread to CPU s (pthread affinity). The point of
@@ -80,15 +76,6 @@ struct RuntimeOptions {
   common::TimeMicros tick = 0;
   // Retry hint handed to rejected publishers/ingesters, in microseconds.
   common::TimeMicros retry_after = 100;
-  // Event-driven delivery for runtime subscriptions: the owner shard pushes
-  // appended messages into the subscription's handoff buffer at append time
-  // and rings the consumer's doorbell (see runtime/subscription.h). When
-  // false, subscriptions run the classic client-driven poll loop instead —
-  // same API, same delivery sequences, poll-period latency floor — which the
-  // equivalence suites exercise against event mode.
-  bool event_driven = true;
-  // Poll cadence (host time) of periodic-mode subscriptions.
-  common::TimeMicros subscription_poll_period = 1000;
   // Base seed; shard s runs its core at seed + s.
   std::uint64_t seed = 1;
   // Watch sessions lagging more than this many undelivered events get a loud
@@ -212,12 +199,6 @@ class ShardPool {
   // runtime.post_rejected) or the pool is stopped.
   bool TryPost(std::size_t shard, Task task);
 
-  // Non-blocking all-or-nothing batch enqueue: one ring claim admits every
-  // task (preserving their order) or none. False — tasks untouched, one
-  // rejection counted — when the shard lacks space for the whole batch or
-  // the pool is stopped. The batched-publish ingress path.
-  bool TryPostBatch(std::size_t shard, Task* tasks, std::size_t n);
-
   // Blocking enqueue. If the pool is stopped, runs the task inline on the
   // calling thread (the cores are then single-threaded-safe by definition).
   void Post(std::size_t shard, Task task);
@@ -279,7 +260,7 @@ class ShardPool {
   std::unique_ptr<common::MetricsRegistry> owned_metrics_;
   common::MetricsRegistry* metrics_;
   std::vector<std::unique_ptr<ShardCore>> cores_;
-  std::vector<std::unique_ptr<TaskRing>> queues_;
+  std::vector<std::unique_ptr<MpscQueue<Task>>> queues_;
   std::vector<std::thread> workers_;
   // One flag per shard; set inside FailoverShard's fence so concurrent
   // producers can observe the teardown without touching the core.

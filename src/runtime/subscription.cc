@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 namespace runtime {
@@ -28,29 +27,25 @@ Subscription::~Subscription() {
     self->detached = true;
   }
   self->bell.Signal();  // Unpark a consumer blocked in Wait on another thread.
-  if (self->event_driven) {
-    // Stand the shard side down on its own thread. A wakeup already in
-    // flight is harmless: its closure owns `self` and checks `detached`.
-    pool_->Post(shard_, [self] {
-      std::lock_guard<std::mutex> lock(self->mu);
-      pubsub::Broker* broker = self->pool->core(self->shard).broker.get();
-      if (self->ticket != 0) {
-        (void)broker->CancelWait(self->ticket);
-        self->ticket = 0;
-      }
-      // Drop the filtered-interest registration — but only if it lives on
-      // the shard's *current* broker; a registration on a broker that
-      // failover already destroyed died with it.
-      if (self->interest_id != 0 && self->interest_broker == broker) {
-        (void)broker->RemoveInterest(self->interest_id);
-      }
-      self->interest_id = 0;
-      self->interest_broker = nullptr;
-    });
-  }
+  // Stand the shard side down on its own thread. A wakeup already in flight
+  // is harmless: its closure owns `self` and checks `detached`.
+  pool_->Post(shard_, [self] {
+    std::lock_guard<std::mutex> lock(self->mu);
+    pubsub::Broker* broker = self->pool->core(self->shard).broker.get();
+    if (self->ticket != 0) {
+      (void)broker->CancelWait(self->ticket);
+      self->ticket = 0;
+    }
+    // Drop the filtered-interest registration — but only if it lives on the
+    // shard's *current* broker; a registration on a broker that failover
+    // already destroyed died with it.
+    if (self->interest_id != 0 && self->interest_broker == broker) {
+      (void)broker->RemoveInterest(self->interest_id);
+    }
+    self->interest_id = 0;
+    self->interest_broker = nullptr;
+  });
 }
-
-bool Subscription::event_driven() const { return shared_->event_driven; }
 
 pubsub::Offset Subscription::cursor() const {
   std::lock_guard<std::mutex> lock(shared_->mu);
@@ -350,44 +345,6 @@ std::size_t Subscription::PollBatch(std::vector<pubsub::StoredMessage>* out, std
   if (max == 0) {
     return 0;
   }
-  if (!s.event_driven) {
-    // Client-driven periodic mode: one synchronous fetch on the owner shard
-    // (the pre-subscription consume path, kept for equivalence testing).
-    pubsub::Offset cursor;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      cursor = s.cursor;
-    }
-    struct FetchOut {
-      std::vector<pubsub::StoredMessage> msgs;
-      pubsub::Offset next = 0;
-    };
-    auto batch = pool_->RunOn(shard_, [&](ShardCore& core) {
-      FetchOut r;
-      r.next = cursor;
-      if (s.filter.has_value()) {
-        (void)core.broker->FetchFilteredInto(s.topic, s.partition, cursor, max, 0, *s.filter,
-                                             &r.msgs, &r.next);
-      } else {
-        (void)core.broker->FetchInto(s.topic, s.partition, cursor, max, &r.msgs);
-        if (!r.msgs.empty()) {
-          r.next = r.msgs.back().offset + 1;
-        }
-      }
-      return r;
-    });
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      // Filtered scans make cursor progress even on empty batches (they
-      // advance past non-matching records).
-      s.cursor = std::max(s.cursor, batch.next);
-    }
-    const std::size_t n = batch.msgs.size();
-    for (pubsub::StoredMessage& m : batch.msgs) {
-      out->push_back(std::move(m));
-    }
-    return n;
-  }
   std::size_t n = 0;
   for (;;) {
     while (n < max && local_pos_ < local_.size()) {
@@ -430,10 +387,6 @@ std::size_t Subscription::PollBatch(std::vector<pubsub::StoredMessage>* out, std
 
 bool Subscription::Wait(common::TimeMicros timeout_us) {
   Shared& s = *shared_;
-  if (!s.event_driven) {
-    std::this_thread::sleep_for(std::chrono::microseconds(s.poll_period));
-    return true;
-  }
   // Each park is bounded by a re-check sweep, so a ring held back by wake
   // coalescing (or any forgotten signal) delays this waiter by at most one
   // sweep instead of stranding it.

@@ -27,10 +27,9 @@
 //     stands down. The MigratoryData posture: a consumer too slow to keep up
 //     is isolated from the fanout path rather than allowed to stall it.
 //
-// Modes. A Subscription created while RuntimeOptions::event_driven is false
-// runs the classic client-driven loop instead (PollBatch issues a synchronous
-// fetch on the owner shard; Wait sleeps the poll period), so equivalence
-// suites can assert both modes deliver identical sequences through one API.
+// Delivery is push-only. A client-driven poll loop is a ConcurrentBroker::
+// Fetch caller's own (bench_runtime_throughput --consumer-mode=periodic); the
+// sim consumers keep the paper's polling baseline (ConsumerOptions).
 //
 // Threading: one consumer thread per Subscription (the doorbell's MPSC-like
 // contract); the shard side runs only on the owner shard's worker. All
@@ -100,25 +99,22 @@ class Subscription {
   Subscription& operator=(const Subscription&) = delete;
 
   // Drains up to `max` messages into `out` (appended), in partition log
-  // order. Event mode pops the handoff buffer and resumes a stalled shard;
-  // periodic mode fetches synchronously from the owner shard. Returns the
+  // order: pops the handoff buffer and resumes a stalled shard. Returns the
   // number appended.
   std::size_t PollBatch(std::vector<pubsub::StoredMessage>* out, std::size_t max);
 
-  // Event mode: parks on the doorbell until data is buffered or `timeout_us`
-  // elapses; returns true if data is waiting. timeout_us <= 0 waits until
-  // data arrives. Parks are internally bounded (a re-check sweep every few
+  // Parks on the doorbell until data is buffered or `timeout_us` elapses;
+  // returns true if data is waiting. timeout_us <= 0 waits until data
+  // arrives. Parks are internally bounded (a re-check sweep every few
   // milliseconds) so a ring held back by wake coalescing — or any forgotten
-  // signal — delays a waiter, never strands it. Periodic mode: sleeps the
-  // pool's subscription poll period and returns true (poll to find out).
+  // signal — delays a waiter, never strands it.
   bool Wait(common::TimeMicros timeout_us);
 
-  bool event_driven() const;
   // The broker-side filter this subscription was created with, if any.
   const std::optional<pubsub::Filter>& filter() const { return shared_->filter; }
-  // Next offset the shard (event) / consumer (periodic) will fetch.
+  // Next offset the shard will fetch.
   pubsub::Offset cursor() const;
-  // Parks that ended with data available (event mode).
+  // Parks that ended with data available.
   std::uint64_t wakeups() const;
   // Messages evicted from the handoff buffer (kDropOldest only): the exact
   // loss this subscription has taken. Always 0 under kBlock/kDisconnect.
@@ -136,10 +132,10 @@ class Subscription {
   // drains with PollBatch on its own thread. If data is already buffered at
   // registration time the hook fires once immediately (on the caller's
   // thread), closing the subscribe-then-attach window. The hook must be
-  // cheap and must not call back into the Subscription. Event mode only;
-  // pass nullptr to detach. NOTE: combine with wake_coalesce_us == 0 —
-  // a hook-driven consumer never runs Wait()'s bounded re-check sweep, so
-  // a coalesced (suppressed) ring would strand buffered data.
+  // cheap and must not call back into the Subscription. Pass nullptr to
+  // detach. NOTE: combine with wake_coalesce_us == 0 — a hook-driven
+  // consumer never runs Wait()'s bounded re-check sweep, so a coalesced
+  // (suppressed) ring would strand buffered data.
   void SetReadyHook(std::function<void()> hook);
 
  private:
@@ -161,8 +157,6 @@ class Subscription {
     std::size_t handoff_capacity = 8192;
     std::size_t shard_batch = 256;
     common::TimeMicros wake_coalesce_us = 500;
-    common::TimeMicros poll_period = 1000;
-    bool event_driven = true;
     // Broker-side content filter (immutable after Subscribe; empty = none).
     std::optional<pubsub::Filter> filter;
     SlowConsumerPolicy policy = SlowConsumerPolicy::kBlock;

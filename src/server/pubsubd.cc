@@ -284,7 +284,6 @@ void Server::Loop() {
     order.clear();
     pfds.push_back(pollfd{listener_.get(), POLLIN, 0});
     pfds.push_back(pollfd{wake_rx_.get(), POLLIN, 0});
-    bool any_periodic = false;
     for (const auto& [id, s] : sessions_) {
       short events = POLLIN;
       if (s->out.size() > s->out_head) {
@@ -292,21 +291,13 @@ void Server::Loop() {
       }
       pfds.push_back(pollfd{s->fd.get(), events, 0});
       order.push_back(id);
-      for (const auto& [rid, sub] : s->subs) {
-        if (!sub.sub->event_driven()) {
-          any_periodic = true;
-        }
-      }
     }
 
     // Sweep granularity: fine enough that a dead peer is detected within a
     // fraction of its window, coarse enough to stay idle between events.
     const std::int64_t interval_ms =
         std::max<std::int64_t>(1, options_.heartbeat_interval_us / (2 * common::kMicrosPerMilli));
-    int timeout_ms = static_cast<int>(std::min<std::int64_t>(interval_ms, 100));
-    if (any_periodic) {
-      timeout_ms = 1;  // Periodic subscriptions have no doorbell to ring us.
-    }
+    const int timeout_ms = static_cast<int>(std::min<std::int64_t>(interval_ms, 100));
     const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (rc < 0 && errno != EINTR) {
       break;  // Catastrophic (EBADF and friends): stop serving, Stop() reaps.
@@ -354,7 +345,7 @@ void Server::Loop() {
     // Pump every live session: subscriptions ring through the wake pipe but
     // the pump itself is idempotent and cheap when nothing is buffered, and
     // running it unconditionally also handles drain-below-watermark resumes
-    // and periodic-mode subscriptions without separate bookkeeping.
+    // without separate bookkeeping.
     for (const auto& [id, s] : sessions_) {
       if (s->dead) {
         continue;

@@ -16,8 +16,8 @@
 //     owner shard pushes appends into the subscription's handoff lane and
 //     the subscription's ready hook nudges the loop through a self-pipe —
 //     no busy polling anywhere between an append and the DELIVER frame.
-//     (Periodic-mode pools fall back to pumping at the pool's subscription
-//     poll period.)
+//     Subscriptions are push-only: the ready hook, not the poll() timeout,
+//     brings their data to the loop.
 //   * Outbound flow control is layered: a session whose socket send buffer
 //     backs up past send_buffer_limit stops draining its subscriptions, the
 //     subscriptions' bounded handoff lanes fill and stall the shard-side

@@ -621,28 +621,5 @@ TEST(ServerTest, MaxConnectionsRefusesTheOverflowConnection) {
   EXPECT_TRUE((*b)->Ping().ok());
 }
 
-TEST(ServerTest, PeriodicModePoolStillServesSubscriptions) {
-  // event_driven=false: the server falls back to pumping subscriptions at
-  // the pool's poll period instead of doorbell nudges.
-  runtime::RuntimeOptions po;
-  po.event_driven = false;
-  po.subscription_poll_period = 2'000;
-  Harness h(po);
-
-  auto c = h.Connect();
-  ASSERT_TRUE(c.ok());
-  ASSERT_TRUE((*c)->CreateTopic("periodic", {.partitions = 1}).ok());
-  auto sub = (*c)->Subscribe("periodic", 0, 0);
-  ASSERT_TRUE(sub.ok());
-  ASSERT_TRUE((*c)->Publish("periodic", "k", "v").ok());
-
-  std::vector<pubsub::StoredMessage> got;
-  ASSERT_TRUE(h.Eventually([&] {
-    (*sub)->Poll(&got, 10, 100'000);
-    return !got.empty();
-  }));
-  EXPECT_EQ(got[0].message.value, "v");
-}
-
 }  // namespace
 }  // namespace server

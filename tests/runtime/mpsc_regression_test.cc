@@ -1,5 +1,4 @@
-// Regression tests for three MpscQueue paper cuts fixed alongside the
-// lock-free ring work:
+// Regression tests for three MpscQueue paper cuts:
 //
 //  1. PopBatch used to leave moved-from ring slots holding whatever captured
 //     state the task type's move left behind — for task types whose move is
@@ -19,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/lockfree_mpsc_queue.h"
 #include "runtime/mpsc_queue.h"
 
 namespace runtime {
@@ -52,17 +50,6 @@ TEST(MpscRegressionTest, DrainedSlotReleasesCapturedTaskState) {
   // Pre-fix: the ring slot still held a copy of the capture, keeping it
   // alive until some later push overwrote the slot — on an idle queue,
   // arbitrarily long. Post-fix PopBatch resets drained slots to T{}.
-  EXPECT_TRUE(observer.expired());
-}
-
-TEST(MpscRegressionTest, LockFreeDrainAlsoReleasesCapturedTaskState) {
-  LockFreeMpscQueue<StickyTask> q(4);
-  auto payload = std::make_shared<int>(7);
-  std::weak_ptr<int> observer = payload;
-  ASSERT_TRUE(q.TryPush(StickyTask(std::move(payload))));
-  std::vector<StickyTask> out;
-  ASSERT_EQ(q.PopBatch(out, 4), 1u);
-  out.clear();
   EXPECT_TRUE(observer.expired());
 }
 
@@ -103,19 +90,6 @@ TEST(MpscRegressionTest, RejectedLvaluePushCostsNoCopy) {
   EXPECT_EQ(CopyCounted::copies, 2);
 }
 
-TEST(MpscRegressionTest, LockFreeRejectedLvaluePushCostsNoCopy) {
-  LockFreeMpscQueue<CopyCounted> q(2);
-  const CopyCounted item(1);
-  CopyCounted::copies = 0;
-  EXPECT_TRUE(q.TryPush(item));
-  EXPECT_TRUE(q.TryPush(item));
-  EXPECT_FALSE(q.TryPush(item));  // Full.
-  q.Close();
-  EXPECT_FALSE(q.TryPush(item));  // Closed.
-  EXPECT_FALSE(q.Push(item));
-  EXPECT_EQ(CopyCounted::copies, 2);
-}
-
 // Counts move-constructions (what vector growth and push_back perform).
 struct MoveCounted {
   static int move_ctors;
@@ -147,18 +121,6 @@ TEST(MpscRegressionTest, PopBatchReservesOnceAndNeverReallocatesMidDrain) {
       << "PopBatch reallocated the output vector mid-drain (inside the "
          "critical section) instead of reserving up front";
   EXPECT_GE(out.capacity(), kN);
-}
-
-TEST(MpscRegressionTest, LockFreePopBatchReservesOnce) {
-  constexpr std::size_t kN = 64;
-  LockFreeMpscQueue<MoveCounted> q(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(q.TryPush(MoveCounted(static_cast<int>(i))));
-  }
-  std::vector<MoveCounted> out;
-  MoveCounted::move_ctors = 0;
-  ASSERT_EQ(q.PopBatch(out, kN), kN);
-  EXPECT_EQ(MoveCounted::move_ctors, static_cast<int>(kN));
 }
 
 }  // namespace

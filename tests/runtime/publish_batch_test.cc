@@ -224,35 +224,5 @@ TEST(PublishBatchTest, FetchSpansConsumesOnTheOwnerShard) {
   pool.Stop();
 }
 
-TEST(PublishBatchTest, BatchPathWorksIdenticallyOverTheLockFreeRing) {
-  auto run = [](bool lockfree) {
-    RuntimeOptions options;
-    options.shards = 2;
-    options.lockfree_ring = lockfree;
-    ShardPool pool(options);
-    ConcurrentBroker broker(&pool);
-    pool.Start();
-    EXPECT_TRUE(broker.CreateTopic("t", {.partitions = 4}).ok());
-    for (int round = 0; round < 20; ++round) {
-      auto batch = std::make_shared<PublishBatch>();
-      for (int i = 0; i < 50; ++i) {
-        batch->Add("user-" + std::to_string(i % 8), "r" + std::to_string(round));
-      }
-      // At the default queue depth a handful of batch tasks can never bounce,
-      // so no retry loop (a retry after partial acceptance would duplicate).
-      EXPECT_TRUE(broker.TryPublishBatch("t", batch).ok());
-    }
-    pool.Quiesce();
-    pool.Stop();
-    std::vector<std::vector<pubsub::StoredMessage>> logs;
-    for (pubsub::PartitionId p = 0; p < 4; ++p) {
-      const auto& entries = pool.core(broker.OwnerShard(p)).broker->Log("t", p)->entries();
-      logs.emplace_back(entries.begin(), entries.end());
-    }
-    return logs;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 }  // namespace
 }  // namespace runtime

@@ -60,7 +60,7 @@ void PublishAll(ConcurrentBroker* broker, int messages) {
 
 TEST(SlowConsumerPolicyTest, BlockStallsAndLosesNothing) {
   constexpr int kMessages = 3000;
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -97,7 +97,7 @@ TEST(SlowConsumerPolicyTest, DropOldestLossIsExactAcrossSeeds) {
   constexpr int kMessages = 4000;
   for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    ShardPool pool({.shards = 1, .event_driven = true});
+    ShardPool pool({.shards = 1});
     ConcurrentBroker broker(&pool);
     pool.Start();
     ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -143,7 +143,7 @@ TEST(SlowConsumerPolicyTest, DropOldestLossIsExactAcrossSeeds) {
 TEST(SlowConsumerPolicyTest, DisconnectCutsOverflowAndLogsSessionBreak) {
   common::MetricsRegistry obs_metrics;
   obs::Collector obs(&obs_metrics);
-  RuntimeOptions opts{.shards = 1, .event_driven = true};
+  RuntimeOptions opts{.shards = 1};
   opts.obs = &obs;
   ShardPool pool(opts);
   ConcurrentBroker broker(&pool);
@@ -193,7 +193,7 @@ TEST(SlowConsumerPolicyTest, DisconnectSparesIdleFullSubscription) {
   // full buffer). A subscription whose buffer is merely full — consumer
   // paused, publisher quiet — must survive and resume cleanly.
   constexpr int kCapacity = 16;
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -237,7 +237,7 @@ TEST(SlowConsumerPolicyTest, PolicyNamesAreStable) {
 TEST(SlowConsumerSocketTest, DisconnectTearsDownNonDrainingSession) {
   common::MetricsRegistry obs_metrics;
   obs::Collector obs(&obs_metrics);
-  RuntimeOptions pool_opts{.shards = 1, .event_driven = true};
+  RuntimeOptions pool_opts{.shards = 1};
   pool_opts.obs = &obs;
   ShardPool pool(pool_opts);
   ConcurrentBroker broker(&pool);

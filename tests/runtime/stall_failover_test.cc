@@ -37,7 +37,6 @@ using Clock = std::chrono::steady_clock;
 RuntimeOptions ReplicatedOptions(wal::FaultVfs* vfs) {
   RuntimeOptions options;
   options.shards = 1;
-  options.event_driven = true;
   options.durable_vfs = vfs;
   options.replication_factor = 2;
   return options;

@@ -1,14 +1,12 @@
 // Subscription: the event-driven consume path of the concurrent runtime.
 // Covers shard-resident cursors (messages pushed at append time, doorbell
-// wakeups), handoff backpressure (stall/resume, nothing dropped), the
-// client-driven periodic fallback, and the equivalence of the two modes'
-// delivery sequences.
+// wakeups), handoff backpressure (stall/resume, nothing dropped), and
+// per-partition delivery order against a fixed reference.
 #include "runtime/subscription.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,13 +36,12 @@ std::vector<pubsub::StoredMessage> DrainAll(Subscription* sub, std::size_t expec
 
 TEST(SubscriptionTest, EventModeDeliversPublishedMessagesInOrder) {
   constexpr int kMessages = 1000;
-  ShardPool pool({.shards = 2, .event_driven = true});
+  ShardPool pool({.shards = 2});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
   auto sub = broker.Subscribe("t", 0, 0);
   ASSERT_NE(sub, nullptr);
-  EXPECT_TRUE(sub->event_driven());
 
   for (int i = 0; i < kMessages; ++i) {
     common::TimeMicros backoff = 0;
@@ -64,7 +61,7 @@ TEST(SubscriptionTest, EventModeDeliversPublishedMessagesInOrder) {
 }
 
 TEST(SubscriptionTest, AdoptsBacklogPublishedBeforeSubscribe) {
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -93,7 +90,7 @@ TEST(SubscriptionTest, SubscribeRejectsUnknownTopicAndBadPartition) {
 
 TEST(SubscriptionTest, BoundedHandoffStallsAndResumesWithoutLoss) {
   constexpr int kMessages = 2000;
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -123,7 +120,7 @@ TEST(SubscriptionTest, BoundedHandoffStallsAndResumesWithoutLoss) {
 }
 
 TEST(SubscriptionTest, WakeupLatencyAndDoorbellRingsAreRecorded) {
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -171,7 +168,7 @@ TEST(SubscriptionTest, TeardownAfterStopCancelsInlineWithoutCrashing) {
   // push left the caller's std::function moved-from and the fallback invoked
   // an empty function (std::bad_function_call). The push must leave the task
   // intact on failure.
-  ShardPool pool({.shards = 1, .event_driven = true});
+  ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);
   pool.Start();
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -192,7 +189,7 @@ TEST(SubscriptionTest, TeardownConcurrentWithStopIsSafe) {
   // cancel task could be pushed to a closing queue or run inline against a
   // worker mid-join. Run the race repeatedly; TSan (CI) judges the interleavings.
   for (int round = 0; round < 25; ++round) {
-    ShardPool pool({.shards = 1, .event_driven = true});
+    ShardPool pool({.shards = 1});
     ConcurrentBroker broker(&pool);
     pool.Start();
     ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -214,7 +211,7 @@ TEST(SubscriptionTest, TeardownRacingStallResumeLeavesNoWaiters) {
   // cancel a ticket re-issued to someone else. After teardown the shard
   // broker must hold no waiters.
   for (int round = 0; round < 20; ++round) {
-    ShardPool pool({.shards = 1, .event_driven = true});
+    ShardPool pool({.shards = 1});
     ConcurrentBroker broker(&pool);
     pool.Start();
     ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
@@ -239,51 +236,39 @@ TEST(SubscriptionTest, TeardownRacingStallResumeLeavesNoWaiters) {
   }
 }
 
-// Both delivery modes, same routed input → identical per-partition sequences
-// through the same Subscription API. Event driving changes when messages
-// move, never what or in what order.
-std::map<pubsub::PartitionId, std::vector<std::string>> RunSubscriptionScenario(
-    bool event_driven) {
-  constexpr pubsub::PartitionId kPartitions = 4;
-  constexpr int kMessages = 800;
-  ShardPool pool({.shards = 2, .event_driven = event_driven});
+// Routed input against a fixed reference: message i goes to partition i % 4,
+// so partition p must receive exactly v<4i+p> for i = 0..199, in order.
+TEST(SubscriptionTest, PartitionsDeliverTheRoutedSequenceInOrder) {
+  constexpr int kPartitions = 4;
+  constexpr int kPerPartition = 200;
+  ShardPool pool({.shards = 2});
   ConcurrentBroker broker(&pool);
   pool.Start();
-  EXPECT_TRUE(broker.CreateTopic("t", {.partitions = kPartitions}).ok());
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = kPartitions}).ok());
   std::vector<std::unique_ptr<Subscription>> subs;
-  for (pubsub::PartitionId p = 0; p < kPartitions; ++p) {
-    subs.push_back(broker.Subscribe("t", p, 0));
+  for (int p = 0; p < kPartitions; ++p) {
+    subs.push_back(broker.Subscribe("t", static_cast<pubsub::PartitionId>(p), 0));
   }
-  std::map<pubsub::PartitionId, int> expected;
-  for (int i = 0; i < kMessages; ++i) {
+  for (int i = 0; i < kPartitions * kPerPartition; ++i) {
     const auto p = static_cast<pubsub::PartitionId>(i % kPartitions);
     common::TimeMicros backoff = 0;
     while (!broker.TryPublish("t", {"", "v" + std::to_string(i), 0}, p, &backoff).ok()) {
       std::this_thread::sleep_for(std::chrono::microseconds(backoff));
     }
-    ++expected[p];
   }
-  std::map<pubsub::PartitionId, std::vector<std::string>> sequences;
-  for (pubsub::PartitionId p = 0; p < kPartitions; ++p) {
-    const auto got =
-        DrainAll(subs[p].get(), static_cast<std::size_t>(expected[p]));
-    for (const pubsub::StoredMessage& m : got) {
-      sequences[p].push_back(m.message.value);
+  for (int p = 0; p < kPartitions; ++p) {
+    std::vector<std::string> expected;
+    for (int i = 0; i < kPerPartition; ++i) {
+      expected.push_back("v" + std::to_string(kPartitions * i + p));
     }
+    std::vector<std::string> got;
+    for (const pubsub::StoredMessage& m : DrainAll(subs[p].get(), kPerPartition)) {
+      got.push_back(m.message.value);
+    }
+    EXPECT_EQ(got, expected) << "partition " << p;
   }
   subs.clear();
   pool.Stop();
-  return sequences;
-}
-
-TEST(SubscriptionTest, EventAndPeriodicModesDeliverIdenticalSequences) {
-  const auto event = RunSubscriptionScenario(true);
-  const auto periodic = RunSubscriptionScenario(false);
-  ASSERT_EQ(event.size(), 4u);
-  for (const auto& [p, seq] : event) {
-    EXPECT_EQ(seq.size(), 200u) << "partition " << p;
-  }
-  EXPECT_EQ(event, periodic);
 }
 
 }  // namespace

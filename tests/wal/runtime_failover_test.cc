@@ -24,7 +24,6 @@ runtime::RuntimeOptions ReplicatedOptions(FaultVfs* vfs, std::size_t shards,
                                           std::size_t replication_factor) {
   runtime::RuntimeOptions options;
   options.shards = shards;
-  options.event_driven = true;
   options.durable_vfs = vfs;
   options.replication_factor = replication_factor;
   return options;
