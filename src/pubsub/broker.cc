@@ -344,11 +344,7 @@ Broker::WaitTicket Broker::WaitForMatch(InterestId id, Offset offset, std::funct
     // immediately with no registration, mirroring WaitForAppend. The common
     // caller parks only once caught up, so this probe is usually empty.
     std::vector<StoredMessage> probe;
-    Offset next = offset;
-    if (log.ScanInto(
-            offset, 1, 0,
-            [filter](const StoredMessage& m) { return filter->Matches(m.message); }, &probe,
-            &next) > 0) {
+    if (log.Read(offset, 1, 0, filter, &probe).matched > 0) {
       sim_->After(0, std::move(fn));
       return 0;
     }
@@ -378,26 +374,27 @@ common::Result<std::size_t> Broker::FetchFilteredInto(const std::string& topic,
   if (partition >= it->second.config.partitions) {
     return common::Status::InvalidArgument("partition out of range");
   }
+  // Checked once per call: a filter constraining nothing reads without the
+  // per-record predicate, and is not a filtered fetch for the fanout ledger.
+  const bool everything = filter.MatchesEverything();
   const std::size_t before = out->size();
-  std::uint64_t examined = 0;
-  const std::size_t appended = it->second.partitions[partition]->ScanInto(
-      offset, max, max_scan,
-      [&filter](const StoredMessage& m) { return filter.Matches(m.message); }, out, next_offset,
-      &examined);
+  const PartitionLog::ReadResult read = it->second.partitions[partition]->Read(
+      offset, max, max_scan, everything ? nullptr : &filter, out);
+  *next_offset = read.next;
   if (scanned != nullptr) {
-    *scanned += examined;
+    *scanned += read.scanned;
   }
-  if (fanout_fetch_scanned_ != nullptr) {
-    fanout_fetch_scanned_->Increment(static_cast<std::int64_t>(examined));
-    fanout_fetch_matched_->Increment(static_cast<std::int64_t>(appended));
+  if (!everything && fanout_fetch_scanned_ != nullptr) {
+    fanout_fetch_scanned_->Increment(static_cast<std::int64_t>(read.scanned));
+    fanout_fetch_matched_->Increment(static_cast<std::int64_t>(read.matched));
   }
-  if (obs::TracingEnabled() && appended != 0) {
+  if (obs::TracingEnabled() && read.matched != 0) {  // Empty polls skip the clock read.
     const std::int64_t now = obs::NowMicros();
     for (std::size_t i = before; i < out->size(); ++i) {
       (*out)[i].message.trace.Stamp(obs::Stage::kFetch, now);  // Handed to consumer.
     }
   }
-  return appended;
+  return read.matched;
 }
 
 const InterestIndex* Broker::Interests(const std::string& topic, PartitionId partition) const {
@@ -411,53 +408,14 @@ const InterestIndex* Broker::Interests(const std::string& topic, PartitionId par
 common::Result<std::vector<StoredMessage>> Broker::Fetch(const std::string& topic,
                                                          PartitionId partition, Offset offset,
                                                          std::size_t max) const {
+  static const Filter kEveryRecord;
   std::vector<StoredMessage> messages;
-  auto appended = FetchInto(topic, partition, offset, max, &messages);
-  if (!appended.ok()) {
-    return appended.status();
+  Offset next = offset;
+  auto read = FetchFilteredInto(topic, partition, offset, max, 0, kEveryRecord, &messages, &next);
+  if (!read.ok()) {
+    return read.status();
   }
   return messages;
-}
-
-common::Result<std::size_t> Broker::FetchInto(const std::string& topic, PartitionId partition,
-                                              Offset offset, std::size_t max,
-                                              std::vector<StoredMessage>* out) const {
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  if (partition >= it->second.config.partitions) {
-    return common::Status::InvalidArgument("partition out of range");
-  }
-  const std::size_t before = out->size();
-  const std::size_t appended = it->second.partitions[partition]->ReadInto(offset, max, out);
-  if (obs::TracingEnabled() && appended != 0) {  // Empty polls skip the clock read.
-    const std::int64_t now = obs::NowMicros();
-    for (std::size_t i = before; i < out->size(); ++i) {
-      (*out)[i].message.trace.Stamp(obs::Stage::kFetch, now);  // Handed to consumer.
-    }
-  }
-  return appended;
-}
-
-common::Result<std::size_t> Broker::FetchSpans(const std::string& topic, PartitionId partition,
-                                               Offset offset, std::size_t max,
-                                               std::vector<MessageSpan>* out, ReadPin* pin) const {
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  if (partition >= it->second.config.partitions) {
-    return common::Status::InvalidArgument("partition out of range");
-  }
-  PartitionLog* log = it->second.partitions[partition].get();
-  if (pin != nullptr) {
-    // Pin before reading; rebinding an already-held pin on the same log
-    // overlaps the counts (new pin taken before the old releases), so the
-    // log never transiently applies deferred retention between batches.
-    *pin = ReadPin(log);
-  }
-  return log->ReadSpansInto(offset, max, out);
 }
 
 Offset Broker::EndOffset(const std::string& topic, PartitionId partition) const {

@@ -132,29 +132,28 @@ class Broker {
 
   // -- Fetching -----------------------------------------------------------------
 
-  // Reads up to `max` messages from `offset`. Silently resumes at the
-  // earliest retained offset if `offset` has been garbage collected — the
-  // behaviour Section 3.1 identifies as undetectable message loss.
+  // The one cursor read (every fetch, filtered or not, is this call):
+  // appends up to `max` records matching `filter` (0: no limit) starting at
+  // `offset`, examining at most `max_scan` records (0: unbounded) so one
+  // selective fetch cannot stall on a long non-matching run. `*next_offset`
+  // receives the resume cursor from PartitionLog::Read — it advances past
+  // scanned non-matching records, so zero matches still makes progress.
+  // `*scanned` (optional) accumulates records examined. Silently resumes at
+  // the earliest retained offset if `offset` has been garbage collected —
+  // the behaviour Section 3.1 identifies as undetectable message loss. A
+  // filter that MatchesEverything() reads unfiltered and leaves the
+  // fanout.fetch_* counters alone.
+  common::Result<std::size_t> FetchFilteredInto(const std::string& topic, PartitionId partition,
+                                                Offset offset, std::size_t max,
+                                                std::size_t max_scan, const Filter& filter,
+                                                std::vector<StoredMessage>* out,
+                                                Offset* next_offset,
+                                                std::uint64_t* scanned = nullptr) const;
+  // Copying FetchFilteredInto over every record: up to `max` messages from
+  // `offset`, in a fresh vector.
   common::Result<std::vector<StoredMessage>> Fetch(const std::string& topic,
                                                    PartitionId partition, Offset offset,
                                                    std::size_t max) const;
-
-  // Allocation-free Fetch for hot pollers (the runtime's shard-side pump):
-  // appends up to `max` messages into `*out`, reusing its capacity, and
-  // returns the number appended. Same reset and trace-stamping semantics.
-  common::Result<std::size_t> FetchInto(const std::string& topic, PartitionId partition,
-                                        Offset offset, std::size_t max,
-                                        std::vector<StoredMessage>* out) const;
-
-  // Zero-copy Fetch: appends up to `max` borrowed MessageSpans into `*out`
-  // and (re)binds `*pin` to the partition's log, deferring retention
-  // reclamation until the pin is released — the views cannot dangle while
-  // the pin lives. Rebinding an already-held pin on the same log never lets
-  // the pin count touch zero, so deferred retention stays deferred across
-  // consecutive batches. No trace stamping: spans are borrows, not copies.
-  common::Result<std::size_t> FetchSpans(const std::string& topic, PartitionId partition,
-                                         Offset offset, std::size_t max,
-                                         std::vector<MessageSpan>* out, ReadPin* pin) const;
 
   Offset EndOffset(const std::string& topic, PartitionId partition) const;
   Offset FirstOffset(const std::string& topic, PartitionId partition) const;
@@ -166,8 +165,8 @@ class Broker {
   // dispatched through the partition's InterestIndex, so only consumers whose
   // filters match the appended record wake: append-time fanout work is
   // O(matching subscriptions), not O(all sessions). Catch-up reads go through
-  // FetchFilteredInto, which evaluates the filter broker-side and returns
-  // only matching records plus a scan-resume cursor.
+  // FetchFilteredInto (above), which evaluates the filter broker-side and
+  // returns only matching records plus a scan-resume cursor.
 
   using InterestId = std::uint64_t;
   using WaitTicket = std::uint64_t;  // Shared with the long-poll wakeups below.
@@ -186,18 +185,6 @@ class Broker {
   // on them and broker teardown fires them. At most one wakeup is parked per
   // interest; a re-park replaces (cancels) the previous one.
   WaitTicket WaitForMatch(InterestId id, Offset offset, std::function<void()> fn);
-  // Filtered FetchInto: appends up to `max` records matching `filter`
-  // starting at `offset`, examining at most `max_scan` records (0:
-  // unbounded) so one selective fetch cannot stall on a long non-matching
-  // run. `*next_offset` receives the scan-resume cursor — it advances past
-  // scanned non-matching records, so zero matches still makes progress.
-  // `*scanned` (optional) accumulates records examined.
-  common::Result<std::size_t> FetchFilteredInto(const std::string& topic, PartitionId partition,
-                                                Offset offset, std::size_t max,
-                                                std::size_t max_scan, const Filter& filter,
-                                                std::vector<StoredMessage>* out,
-                                                Offset* next_offset,
-                                                std::uint64_t* scanned = nullptr) const;
   // Outstanding interest registrations (tests/leak checks, the filtered
   // analogue of PendingWaiters).
   std::size_t PendingInterests() const { return interests_.size(); }

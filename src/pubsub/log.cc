@@ -5,13 +5,6 @@
 namespace pubsub {
 
 std::uint64_t PartitionLog::Compact(common::TimeMicros horizon) {
-  if (pins_ > 0) {
-    // A compaction pass rebuilds the deque, moving elements (and with them
-    // the data of SSO-small strings) — fatal to any outstanding span. Defer
-    // until the last ReadPin drops.
-    pending_compact_horizon_ = std::max(pending_compact_horizon_, horizon);
-    return 0;
-  }
   // Kafka semantics: among messages older than the horizon, a record survives
   // only if it is the newest record for its key *in the entire log* — a
   // pre-horizon copy shadowed by any later record (before or after the

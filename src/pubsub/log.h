@@ -18,11 +18,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "pubsub/span.h"
+#include "pubsub/filter.h"
 #include "pubsub/types.h"
 
 namespace pubsub {
@@ -68,125 +67,57 @@ class PartitionLog {
   Offset end_offset() const { return next_offset_; }
   std::size_t size() const { return log_.size(); }
 
-  // Reads up to `max` messages starting at `from`. If `from` precedes the
-  // first retained offset, reading silently resumes at the earliest retained
-  // message (the Kafka reset behaviour). `max` == 0 means unlimited.
-  std::vector<StoredMessage> Read(Offset from, std::size_t max = 0) const {
-    std::vector<StoredMessage> out;
-    ReadInto(from, max, &out);
-    return out;
-  }
+  // What one Read did: records appended, records examined, and the resume
+  // cursor.
+  struct ReadResult {
+    std::size_t matched = 0;
+    std::uint64_t scanned = 0;
+    // One past the last record examined (end_offset() once the read reached
+    // the live edge), never below `from`: a filter matching nothing, or a
+    // cursor below a log retention emptied, still makes progress.
+    Offset next = 0;
+  };
 
-  // Allocation-free Read for hot pollers: appends up to `max` messages into
-  // `*out` (not cleared), reusing its capacity. Returns the number appended.
-  std::size_t ReadInto(Offset from, std::size_t max, std::vector<StoredMessage>* out) const {
-    const std::size_t before = out->size();
+  // The log's one read. Scans forward from `from`, appending records that
+  // match `filter` (nullptr: every record) into `*out` (not cleared, so a
+  // hot poller reuses its capacity), until `max` records are appended,
+  // `max_scan` records have been examined, or the log ends (0: no bound).
+  // If `from` precedes the first retained offset, the read silently resumes
+  // at the earliest retained record (Kafka's reset behaviour); the reader
+  // cannot observe the skip, but the harness can, through silent_skips().
+  ReadResult Read(Offset from, std::size_t max, std::size_t max_scan, const Filter* filter,
+                  std::vector<StoredMessage>* out) const {
     // Offsets are sorted but not dense (compaction leaves gaps), so position
-    // by binary search rather than scanning from the retained head — an
-    // event-driven pump fetching small batches per wakeup would otherwise
-    // pay O(retained log) per fetch.
+    // by binary search rather than scanning from the retained head: a pump
+    // fetching small batches per wakeup would otherwise pay O(retained log)
+    // per fetch.
     auto it = std::lower_bound(
         log_.begin(), log_.end(), from,
         [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
-    for (; it != log_.end(); ++it) {
-      out->push_back(*it);
-      if (max != 0 && out->size() - before >= max) {
-        break;
-      }
+    const Offset head = it == log_.end() ? next_offset_ : it->offset;
+    if (head > from) {
+      silent_skips_ += head - from;  // Invisible to the reader; the harness counts it.
     }
-    const std::size_t appended = out->size() - before;
-    if (appended != 0 && (*out)[before].offset > from) {
-      // Reader fell below retained history; it cannot observe this, but the
-      // harness can.
-      silent_skips_ += (*out)[before].offset - from;
-    } else if (appended == 0 && from < first_offset()) {
-      silent_skips_ += first_offset() - from;
-    }
-    return appended;
-  }
-
-  // Zero-copy ReadInto: appends up to `max` MessageSpans viewing retained
-  // records into `*out` (not cleared). The views alias log-owned storage —
-  // the caller must hold a ReadPin on this log for as long as it touches
-  // them; the pin defers retention reclamation so the views cannot dangle.
-  // Same silent-reset semantics and accounting as ReadInto.
-  std::size_t ReadSpansInto(Offset from, std::size_t max, std::vector<MessageSpan>* out) const {
-    const std::size_t before = out->size();
-    auto it = std::lower_bound(
-        log_.begin(), log_.end(), from,
-        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
-    for (; it != log_.end(); ++it) {
-      const Message& m = it->message;
-      out->push_back(MessageSpan{it->offset, m.key, m.value, m.publish_time,
-                                 m.headers.empty() ? nullptr : &m.headers});
-      if (max != 0 && out->size() - before >= max) {
-        break;
-      }
-    }
-    const std::size_t appended = out->size() - before;
-    if (appended != 0 && (*out)[before].offset > from) {
-      silent_skips_ += (*out)[before].offset - from;
-    } else if (appended == 0 && from < first_offset()) {
-      silent_skips_ += first_offset() - from;
-    }
-    return appended;
-  }
-
-  // Predicate-filtered ReadInto for the filtered-subscription catch-up path:
-  // scans forward from `from`, appending messages satisfying `pred` into
-  // `*out`, until `max` matches are appended, `max_scan` records have been
-  // examined (0: unbounded), or the log ends. `*next_offset` is set to the
-  // offset after the last scanned record — the cursor resume point — so a
-  // filter matching nothing still makes scan progress. Returns the number of
-  // matches appended; `*scanned` (optional) counts records examined. Shares
-  // ReadInto's silent-reset accounting when `from` fell below retention.
-  std::size_t ScanInto(Offset from, std::size_t max, std::size_t max_scan,
-                       const std::function<bool(const StoredMessage&)>& pred,
-                       std::vector<StoredMessage>* out, Offset* next_offset,
-                       std::uint64_t* scanned = nullptr) const {
-    const std::size_t before = out->size();
-    auto it = std::lower_bound(
-        log_.begin(), log_.end(), from,
-        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
-    if (it != log_.end() && it->offset > from) {
-      silent_skips_ += it->offset - from;
-    } else if (it == log_.end() && from < first_offset()) {
-      silent_skips_ += first_offset() - from;
-    }
-    std::uint64_t examined = 0;
-    Offset next = std::max(from, first_offset());
-    for (; it != log_.end(); ++it) {
-      if (max_scan != 0 && examined >= max_scan) {
-        break;
-      }
-      ++examined;
-      next = it->offset + 1;
-      if (pred(*it)) {
+    ReadResult r;
+    for (; it != log_.end() && (max == 0 || r.matched < max) &&
+           (max_scan == 0 || r.scanned < max_scan);
+         ++it) {
+      ++r.scanned;
+      r.next = it->offset + 1;
+      if (filter == nullptr || filter->Matches(it->message)) {
         out->push_back(*it);
-        if (max != 0 && out->size() - before >= max) {
-          break;
-        }
+        ++r.matched;
       }
     }
     if (it == log_.end()) {
-      next = next_offset_;  // Scanned to the live edge.
+      r.next = std::max(from, next_offset_);
     }
-    *next_offset = std::max(next, from);
-    if (scanned != nullptr) {
-      *scanned += examined;
-    }
-    return out->size() - before;
+    return r;
   }
 
   // Time-based retention: drops messages published before `horizon`.
-  // Returns the number of messages garbage collected. While a ReadPin is
-  // held the drop is deferred (0 returned now); the last unpin applies the
-  // highest deferred horizon and fires the retention callback then.
+  // Returns the number of messages garbage collected.
   std::uint64_t GcBefore(common::TimeMicros horizon) {
-    if (pins_ > 0) {
-      pending_gc_horizon_ = std::max(pending_gc_horizon_, horizon);
-      return 0;
-    }
     std::uint64_t dropped = 0;
     while (!log_.empty() && log_.front().message.publish_time < horizon) {
       log_.pop_front();
@@ -205,8 +136,6 @@ class PartitionLog {
   // horizon keep every version). Returns the number of messages removed.
   // Offsets of surviving messages are unchanged, so the log acquires offset
   // gaps — indistinguishable, to a reader, from normal consumption.
-  // Deferred while pinned, like GcBefore: compaction rebuilds the deque and
-  // moves SSO-small strings, which would invalidate handed-out spans.
   std::uint64_t Compact(common::TimeMicros horizon);
 
   // First retained offset whose publish time is >= `timestamp`, or
@@ -218,8 +147,6 @@ class PartitionLog {
   std::uint64_t gced() const { return gced_; }
   std::uint64_t compacted_away() const { return compacted_away_; }
   std::uint64_t silent_skips() const { return silent_skips_; }
-  // Outstanding ReadPins (tests/leak checks).
-  int pins() const { return pins_; }
 
   // Harness-only introspection for the invariant oracle: the retained
   // messages, the highest horizon Compact has been run with, and the log end
@@ -270,39 +197,8 @@ class PartitionLog {
   }
 
  private:
-  friend class ReadPin;
-
-  void AddPin() { ++pins_; }
-  void ReleasePin() {
-    if (--pins_ > 0) {
-      return;
-    }
-    // Last pin dropped: apply the retention the pin deferred, in the order
-    // the policies normally run (time GC, then compaction, then size cap).
-    // Each re-checks pins_ == 0 implicitly by running the normal path, which
-    // fires the retention callbacks a journal mirrors.
-    if (pending_gc_horizon_ != 0) {
-      const common::TimeMicros horizon = pending_gc_horizon_;
-      pending_gc_horizon_ = 0;
-      GcBefore(horizon);
-    }
-    if (pending_compact_horizon_ != 0) {
-      const common::TimeMicros horizon = pending_compact_horizon_;
-      pending_compact_horizon_ = 0;
-      Compact(horizon);
-    }
-    if (pending_size_cap_) {
-      pending_size_cap_ = false;
-      EnforceSizeCap();
-    }
-  }
-
   void EnforceSizeCap() {
     if (policy_.max_messages == 0) {
-      return;
-    }
-    if (pins_ > 0) {
-      pending_size_cap_ = true;
       return;
     }
     std::uint64_t dropped = 0;
@@ -326,28 +222,7 @@ class PartitionLog {
   Offset compact_end_offset_ = 0;
   AppendCallback append_cb_;
   RetentionCallback retention_cb_;
-  // Span-read pin state: outstanding pins and the retention they deferred.
-  int pins_ = 0;
-  common::TimeMicros pending_gc_horizon_ = 0;
-  common::TimeMicros pending_compact_horizon_ = 0;
-  bool pending_size_cap_ = false;
 };
-
-inline ReadPin::ReadPin(PartitionLog* log) : log_(log) {
-  if (log_ != nullptr) {
-    log_->AddPin();
-  }
-}
-
-inline ReadPin::~ReadPin() { Release(); }
-
-inline void ReadPin::Release() {
-  if (log_ != nullptr) {
-    PartitionLog* log = log_;
-    log_ = nullptr;
-    log->ReleasePin();
-  }
-}
 
 }  // namespace pubsub
 

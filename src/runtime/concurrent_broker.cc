@@ -311,32 +311,6 @@ common::Status ConcurrentBroker::TryFetchAsync(
   return common::Status::Ok();
 }
 
-common::Result<std::size_t> ConcurrentBroker::FetchSpans(
-    const std::string& topic, pubsub::PartitionId partition, pubsub::Offset offset,
-    std::size_t max,
-    const std::function<void(const std::vector<pubsub::MessageSpan>&)>& consume) {
-  const TopicState* state = FindTopic(topic);
-  if (state == nullptr) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  if (partition >= state->config.partitions) {
-    return common::Status::InvalidArgument("partition out of range");
-  }
-  return pool_->RunOn(OwnerShard(partition), [&](ShardCore& core) -> common::Result<std::size_t> {
-    // Pin + read + consume all happen on the owner shard's thread, so the
-    // spans never cross a thread boundary and the pin's lifetime brackets
-    // every touch of the borrowed bytes.
-    std::vector<pubsub::MessageSpan> spans;
-    pubsub::ReadPin pin;
-    auto read = core.broker->FetchSpans(topic, partition, offset, max, &spans, &pin);
-    if (!read.ok()) {
-      return read.status();
-    }
-    consume(spans);
-    return *read;
-  });
-}
-
 pubsub::Offset ConcurrentBroker::EndOffset(const std::string& topic,
                                            pubsub::PartitionId partition) {
   return pool_->RunOn(OwnerShard(partition), [&](ShardCore& core) {

@@ -31,7 +31,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "pubsub/broker.h"
-#include "pubsub/span.h"
 #include "pubsub/types.h"
 #include "runtime/publish_batch.h"
 #include "runtime/shard_pool.h"
@@ -124,16 +123,6 @@ class ConcurrentBroker {
       const std::string& topic, pubsub::PartitionId partition, pubsub::Offset offset,
       std::size_t max, common::TimeMicros* retry_after,
       std::function<void(common::Result<std::vector<pubsub::StoredMessage>>)> done);
-  // Zero-copy fetch, executed on the partition's owner shard: `consume` runs
-  // on the shard's worker thread with borrowed MessageSpans viewing the
-  // partition log directly — no StoredMessage copies are made. A ReadPin is
-  // held for exactly the duration of the call (retention on that log is
-  // deferred meanwhile), so the spans are valid only inside `consume`; copy
-  // out (e.g. serialize onto a wire buffer) before returning. Returns the
-  // span count. `consume` must not block or re-enter the pool.
-  common::Result<std::size_t> FetchSpans(
-      const std::string& topic, pubsub::PartitionId partition, pubsub::Offset offset,
-      std::size_t max, const std::function<void(const std::vector<pubsub::MessageSpan>&)>& consume);
 
   pubsub::Offset EndOffset(const std::string& topic, pubsub::PartitionId partition);
   pubsub::Offset FirstOffset(const std::string& topic, pubsub::PartitionId partition);

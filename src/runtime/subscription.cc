@@ -14,9 +14,12 @@ std::int64_t SteadyMicros() {
       .count();
 }
 
-// Records a filtered pump examines per fetch round before taking a breath
-// (cursor progress is committed between rounds).
-constexpr std::size_t kFilteredScanChunk = 4096;
+// Records the pump examines per fetch round (cursor progress is committed
+// between rounds).
+constexpr std::size_t kScanChunk = 4096;
+
+// The read filter of an unfiltered subscription.
+const pubsub::Filter kEveryRecord;
 
 }  // namespace
 
@@ -127,7 +130,7 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
   pubsub::Broker* broker = s.pool->core(s.shard).broker.get();
   std::size_t space;
   pubsub::Offset cursor;
-  bool cut = false;
+  bool probe = false;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     // A fired waiter is already deregistered broker-side; clear before the
@@ -151,38 +154,20 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
           // shard_batch rounds like a non-full pump would.
           space = s.shard_batch;
           break;
-        case SlowConsumerPolicy::kDisconnect: {
-          // A fired waiter with no room is a genuine overflow only if data is
-          // actually pending past the cursor: a failover's broker teardown
-          // fires every parked waiter too, carrying no data — just the swap.
-          // Probe the shard's CURRENT broker before declaring the overflow
-          // terminal; a no-data fire falls through to re-arm on the
-          // replacement. (A buffer that merely *reached* capacity re-arms the
-          // same way — the consumer may still drain in time — so an
-          // idle-but-full subscription is never cut.)
-          bool pending;
-          if (s.filter.has_value()) {
-            std::vector<pubsub::StoredMessage> probe;
-            pubsub::Offset next = s.cursor;
-            auto fetched = broker->FetchFilteredInto(s.topic, s.partition, s.cursor, 1,
-                                                     kFilteredScanChunk, *s.filter, &probe,
-                                                     &next);
-            pending = fetched.ok() && *fetched > 0;
-          } else {
-            pending = broker->EndOffset(s.topic, s.partition) > s.cursor;
-          }
-          if (!pending) {
-            break;  // space stays 0: skip the fetch loop, re-arm below.
-          }
-          cut = true;  // FinishCut marks the subscription broken.
+        case SlowConsumerPolicy::kDisconnect:
+          // A fired waiter with no room is a genuine overflow only if a
+          // record is actually pending past the cursor: a failover's broker
+          // teardown fires every parked waiter too, carrying no data — just
+          // the swap. So read the shard's CURRENT broker with room for one
+          // record and cut only if one comes back; a no-data fire falls
+          // through to re-arm on the replacement. (A buffer that merely
+          // *reached* capacity re-arms the same way — the consumer may still
+          // drain in time — so an idle-but-full subscription is never cut.)
+          space = 1;
+          probe = true;
           break;
-        }
       }
     }
-  }
-  if (cut) {
-    FinishCut(shared);
-    return;
   }
   bool pushed_any = false;
   const bool filtered = s.filter.has_value();
@@ -193,102 +178,85 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
     s.interest_id = broker->AddInterest(s.topic, s.partition, *s.filter);
     s.interest_broker = broker;
   }
+  const pubsub::Filter& filter = filtered ? *s.filter : kEveryRecord;
   for (;;) {
     // Fetch outside the lock: the broker is shard-confined, the buffer is
     // not, and neither needs the other's protection. The scratch vector is
     // shard-confined too, so the hot caught-up path (one pump per append)
-    // never allocates.
+    // never allocates. The scan is bounded per round, so a selective filter
+    // crossing a long non-matching run advances its cursor chunk by chunk.
     const std::size_t want = std::min(space, s.shard_batch);
-    if (want == 0) {
-      break;  // kDisconnect no-data fire with a full buffer: nothing to fetch.
-    }
     s.scratch.clear();
-    std::size_t got = 0;
     pubsub::Offset next = cursor;
-    if (filtered) {
-      // Bounded scan per round: a selective filter crossing a long
-      // non-matching run advances its cursor chunk by chunk instead of
-      // monopolizing the shard in one call.
-      auto fetched = broker->FetchFilteredInto(s.topic, s.partition, cursor, want,
-                                               kFilteredScanChunk, *s.filter, &s.scratch, &next);
-      if (!fetched.ok()) {
-        break;
-      }
-      got = *fetched;
-      if (got == 0 && next == cursor) {
-        break;  // No progress: caught up to the live edge.
-      }
-    } else {
-      auto fetched = broker->FetchInto(s.topic, s.partition, cursor, want, &s.scratch);
-      if (!fetched.ok() || *fetched == 0) {
-        break;
-      }
-      got = *fetched;
-      next = s.scratch.back().offset + 1;
+    std::uint64_t scanned = 0;
+    auto fetched = broker->FetchFilteredInto(s.topic, s.partition, cursor, want, kScanChunk,
+                                             filter, &s.scratch, &next, &scanned);
+    if (!fetched.ok()) {
+      break;
     }
-    if (got == 0) {
-      // Filtered scan advanced past non-matching records without a match:
-      // commit the cursor progress and keep scanning.
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.detached) {
-        return;
-      }
-      cursor = s.cursor = std::max(s.cursor, next);
-      continue;
+    const std::size_t got = *fetched;
+    if (probe && got > 0) {
+      FinishCut(shared);  // Marks the subscription broken.
+      return;
     }
     {
       std::lock_guard<std::mutex> lock(s.mu);
       if (s.detached) {
         return;
       }
-      const bool was_empty = s.buffer.empty();
-      if (was_empty) {
-        s.buffer.swap(s.scratch);  // O(1); capacities circulate between lanes.
-      } else {
-        for (pubsub::StoredMessage& m : s.scratch) {
-          s.buffer.push_back(std::move(m));
-        }
-      }
-      // Filtered scans can advance the cursor past the last *matching*
-      // record, so take the scan cursor, not back().offset + 1.
-      cursor = s.cursor = std::max(next, s.buffer.back().offset + 1);
-      pushed_any = true;
-      if (was_empty && s.data_ready_at_us < 0) {
-        s.data_ready_at_us = SteadyMicros();
-      }
-      if (s.policy == SlowConsumerPolicy::kDropOldest &&
-          s.buffer.size() > s.handoff_capacity) {
-        // The lane overflowed: evict from the front (oldest first) back to
-        // the bound. Every eviction is counted — loss is exact, never silent.
-        const std::size_t excess = s.buffer.size() - s.handoff_capacity;
-        s.buffer.erase(s.buffer.begin(),
-                       s.buffer.begin() + static_cast<std::ptrdiff_t>(excess));
-        s.drops += excess;
-        if (s.drop_count != nullptr) {
-          s.drop_count->Increment(static_cast<std::int64_t>(excess));
-        }
-      }
-      space = s.handoff_capacity - s.buffer.size();
-      if (space == 0) {
-        if (s.policy == SlowConsumerPolicy::kBlock) {
-          s.stalled = true;
-          if (s.stall_count != nullptr) {
-            s.stall_count->Increment();
+      // Always the read's resume cursor: it passes scanned non-matching
+      // records and a head that retention moved past the cursor, so no
+      // round can leave the cursor where a re-armed waiter fires again.
+      cursor = s.cursor = next;
+      if (got > 0) {
+        const bool was_empty = s.buffer.empty();
+        if (was_empty) {
+          s.buffer.swap(s.scratch);  // O(1); capacities circulate between lanes.
+        } else {
+          for (pubsub::StoredMessage& m : s.scratch) {
+            s.buffer.push_back(std::move(m));
           }
-          break;
         }
-        if (s.policy == SlowConsumerPolicy::kDisconnect) {
-          // Full but not yet overflowed: re-arm below with the buffer at
-          // capacity. If the consumer drains first, nothing happened; if the
-          // waiter fires first (more data, no room), the entry path cuts.
-          break;
+        pushed_any = true;
+        if (was_empty && s.data_ready_at_us < 0) {
+          s.data_ready_at_us = SteadyMicros();
         }
-        space = s.shard_batch;  // kDropOldest: evictions keep making room.
+        if (s.policy == SlowConsumerPolicy::kDropOldest &&
+            s.buffer.size() > s.handoff_capacity) {
+          // The lane overflowed: evict from the front (oldest first) back to
+          // the bound. Every eviction is counted — loss is exact, never silent.
+          const std::size_t excess = s.buffer.size() - s.handoff_capacity;
+          s.buffer.erase(s.buffer.begin(),
+                         s.buffer.begin() + static_cast<std::ptrdiff_t>(excess));
+          s.drops += excess;
+          if (s.drop_count != nullptr) {
+            s.drop_count->Increment(static_cast<std::int64_t>(excess));
+          }
+        }
+        space = s.handoff_capacity - s.buffer.size();
+        if (space == 0) {
+          if (s.policy == SlowConsumerPolicy::kBlock) {
+            s.stalled = true;
+            if (s.stall_count != nullptr) {
+              s.stall_count->Increment();
+            }
+            break;
+          }
+          if (s.policy == SlowConsumerPolicy::kDisconnect) {
+            // Full but not yet overflowed: re-arm below with the buffer at
+            // capacity. If the consumer drains first, nothing happened; if
+            // the waiter fires first (more data, no room), the entry path
+            // probes and cuts.
+            break;
+          }
+          space = s.shard_batch;  // kDropOldest: evictions keep making room.
+        }
       }
     }
-    if (!filtered && got < want) {
-      // Short batch means the log is drained (appends run on this same shard
-      // thread, so none landed meanwhile): skip the empty terminator fetch.
+    if (got < want && scanned < kScanChunk) {
+      // A short batch inside the scan bound means the read reached the live
+      // edge (appends run on this same shard thread, so none landed
+      // meanwhile): skip the empty terminator fetch.
       break;
     }
   }

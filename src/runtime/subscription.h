@@ -82,10 +82,9 @@ struct SubscriptionOptions {
   // of one per drain cycle. 0 rings on every empty→nonempty push.
   common::TimeMicros wake_coalesce_us = 500;
   // Broker-side content filter. When set, the shard registers the filter as
-  // an interest on its broker: the pump fetches through the filtered scan
-  // path (only matching records reach the handoff buffer) and parks on
-  // WaitForMatch, so non-matching appends wake nobody — delivery work is
-  // O(matching), not O(all sessions).
+  // an interest on its broker: the pump reads only matching records into
+  // the handoff buffer and parks on WaitForMatch, so non-matching appends
+  // wake nobody — delivery work is O(matching), not O(all sessions).
   std::optional<pubsub::Filter> filter;
   // Full-handoff-buffer behavior; see SlowConsumerPolicy.
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlock;

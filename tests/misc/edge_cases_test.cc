@@ -107,7 +107,8 @@ TEST(LogEdgeTest, CompactionAndRetentionCompose) {
   EXPECT_EQ(log.Compact(250), 1u);     // Drops a1, keeps a2 (latest old "a").
   EXPECT_EQ(log.GcBefore(250), 1u);    // Retention then removes a2 as well.
   EXPECT_EQ(log.size(), 1u);           // Only b1 survives.
-  auto msgs = log.Read(0);
+  std::vector<pubsub::StoredMessage> msgs;
+  (void)log.Read(0, 0, 0, nullptr, &msgs);
   ASSERT_EQ(msgs.size(), 1u);
   EXPECT_EQ(msgs[0].message.key, "b");
 }

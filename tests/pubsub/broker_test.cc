@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -64,6 +66,32 @@ TEST_F(BrokerTest, FetchRoundTrip) {
   ASSERT_TRUE(msgs.ok());
   ASSERT_EQ(msgs->size(), 1u);
   EXPECT_EQ((*msgs)[0].message.value, "hello");
+  EXPECT_EQ(broker_.Fetch("missing", 0, 0, 1).status().code(), common::StatusCode::kNotFound);
+  EXPECT_EQ(broker_.Fetch("t", 5, 0, 1).status().code(), common::StatusCode::kInvalidArgument);
+}
+
+TEST_F(BrokerTest, PublishSpanMatchesPublish) {
+  Broker got(&sim_, &net_, "got");
+  ASSERT_TRUE(broker_.CreateTopic("t", {.partitions = 4}).ok());
+  ASSERT_TRUE(got.CreateTopic("t", {.partitions = 4}).ok());
+
+  const Headers headers = {{"content-type", "test"}};
+  for (int i = 0; i < 50; ++i) {
+    const std::string key = i % 3 == 0 ? "" : "user-" + std::to_string(i % 7);
+    const std::string value = "v" + std::to_string(i);
+    const auto want = broker_.Publish("t", Message{key, value, 0, i % 2 ? headers : Headers{}});
+    const auto have = got.PublishSpan("t", key, value, i % 2 ? &headers : nullptr);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(have.ok());
+    // Same routing (key hash / round robin) and same assigned offset...
+    EXPECT_EQ(have->partition, want->partition) << "message " << i;
+    EXPECT_EQ(have->offset, want->offset) << "message " << i;
+  }
+  // ...and byte-identical logs: PublishSpan owns its copy at append time, so
+  // the borrowed-view input leaves no aliasing behind.
+  for (PartitionId p = 0; p < 4; ++p) {
+    EXPECT_EQ(got.Log("t", p)->entries(), broker_.Log("t", p)->entries()) << "partition " << p;
+  }
 }
 
 TEST_F(BrokerTest, PublishStampsSimTime) {

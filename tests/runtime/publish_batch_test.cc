@@ -1,9 +1,8 @@
-// Batched arena-staged publishing (PublishBatch + TryPublishBatch) and the
-// shard-side zero-copy fetch (ConcurrentBroker::FetchSpans). The contract:
-// a batch delivers exactly what an equivalent TryPublish loop delivers — same
-// routing, same per-partition order, same bytes — while backpressure stays
-// loud (kUnavailable + retry_after + accepted count) and batch reuse via
-// Clear() settles into zero allocation.
+// Batched arena-staged publishing (PublishBatch + TryPublishBatch). The
+// contract: a batch delivers exactly what an equivalent TryPublish loop
+// delivers — same routing, same per-partition order, same bytes — while
+// backpressure stays loud (kUnavailable + retry_after + accepted count) and
+// batch reuse via Clear() settles into zero allocation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -187,40 +186,6 @@ TEST(PublishBatchTest, EmptyAndUnknownBatchesAreHandled) {
   EXPECT_EQ(broker.TryPublishBatch("missing", batch).code(),
             common::StatusCode::kNotFound);
   pool.Quiesce();
-  pool.Stop();
-}
-
-TEST(PublishBatchTest, FetchSpansConsumesOnTheOwnerShard) {
-  ShardPool pool({.shards = 2});
-  ConcurrentBroker broker(&pool);
-  pool.Start();
-  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 2}).ok());
-  auto batch = std::make_shared<PublishBatch>();
-  for (int i = 0; i < 10; ++i) {
-    batch->Add("k", "v" + std::to_string(i));  // One key: one partition.
-  }
-  ASSERT_TRUE(broker.TryPublishBatch("t", batch).ok());
-  pool.Quiesce();
-
-  const pubsub::PartitionId p = pubsub::Broker::HashKey("k") % 2;
-  std::vector<std::string> copied;
-  const auto n = broker.FetchSpans("t", p, 2, 3, [&](const auto& spans) {
-    // Borrowed views, valid only inside this callback (runs on the owner
-    // shard with a ReadPin held): serialize out before returning.
-    for (const auto& span : spans) {
-      copied.push_back(std::string(span.value));
-    }
-  });
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 3u);
-  EXPECT_EQ(copied, (std::vector<std::string>{"v2", "v3", "v4"}));
-  // The pin was scoped to the call: nothing left pinned afterwards.
-  EXPECT_EQ(pool.core(broker.OwnerShard(p)).broker->Log("t", p)->pins(), 0);
-
-  EXPECT_EQ(broker.FetchSpans("missing", 0, 0, 1, [](const auto&) {}).status().code(),
-            common::StatusCode::kNotFound);
-  EXPECT_EQ(broker.FetchSpans("t", 5, 0, 1, [](const auto&) {}).status().code(),
-            common::StatusCode::kInvalidArgument);
   pool.Stop();
 }
 

@@ -226,6 +226,55 @@ TEST(SlowConsumerPolicyTest, DisconnectSparesIdleFullSubscription) {
   pool.Stop();
 }
 
+TEST(SlowConsumerPolicyTest, DisconnectCutsFilteredOverflowPastALongNonMatchingRun) {
+  // Regression: a filtered kDisconnect subscription with a full handoff was
+  // woken by a match more than one scan chunk (4,096 records) past its
+  // cursor. Its full-buffer probe scanned one chunk, found nothing and
+  // re-armed; WaitForMatch's unbounded probe found the match and fired at
+  // once, and the shard's flush ran that chain forever: the whole shard
+  // stopped answering and the subscription was never cut. The probe now
+  // scans on chunk by chunk and cuts when the match comes back.
+  ShardPool pool({.shards = 1});
+  ConcurrentBroker broker(&pool);
+  pool.Start();
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
+  pubsub::Filter hot;
+  hot.key_prefix = "hot";
+  auto sub = broker.Subscribe("t", 0, 0,
+                              {.handoff_capacity = 2,
+                               .filter = hot,
+                               .slow_consumer = SlowConsumerPolicy::kDisconnect});
+  ASSERT_NE(sub, nullptr);
+
+  // Two matches fill the handoff; 5,000 keyless records match nothing.
+  ASSERT_TRUE(broker.PublishSync("t", {"hot", "h0", 0}, 0).ok());
+  ASSERT_TRUE(broker.PublishSync("t", {"hot", "h1", 0}, 0).ok());
+  PublishAll(&broker, 5000);
+  pool.Quiesce();
+  ASSERT_FALSE(sub->broken()) << "a full handoff with nothing pending was cut";
+
+  // The trigger: one more match, with no room for it. From here on only
+  // poll subscription state; a blocking shard call would hang on a spin.
+  common::TimeMicros backoff = 0;
+  while (!broker.TryPublish("t", {"hot", "h2", 0}, 0, &backoff).ok()) {
+    SleepUs(backoff);
+  }
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (!sub->broken() && Clock::now() < deadline) {
+    SleepUs(1000);
+  }
+  ASSERT_TRUE(sub->broken()) << "overflow past a non-matching run never cut the subscription";
+  EXPECT_EQ(pool.metrics().counter("runtime.slow_consumer.disconnects").value(), 1);
+  std::vector<pubsub::StoredMessage> leftovers;
+  while (sub->PollBatch(&leftovers, 256) > 0) {
+  }
+  ASSERT_EQ(leftovers.size(), 2u);
+  EXPECT_EQ(leftovers[0].message.value, "h0");
+  EXPECT_EQ(leftovers[1].message.value, "h1");
+  sub.reset();
+  pool.Stop();
+}
+
 TEST(SlowConsumerPolicyTest, PolicyNamesAreStable) {
   EXPECT_STREQ(SlowConsumerPolicyName(SlowConsumerPolicy::kBlock), "block");
   EXPECT_STREQ(SlowConsumerPolicyName(SlowConsumerPolicy::kDropOldest), "drop_oldest");

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/types.h"
 #include "pubsub/types.h"
 #include "runtime/concurrent_broker.h"
 #include "runtime/shard_pool.h"
@@ -141,6 +142,9 @@ TEST(SubscriptionTest, WakeupLatencyAndDoorbellRingsAreRecorded) {
   producer.join();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_GE(sub->wakeups(), 1u);
+  // The pump counts its ring after the push the consumer may already have
+  // drained: let the shard finish that pump before reading the counter.
+  pool.Quiesce();
   EXPECT_GE(pool.metrics().counter("runtime.doorbell_rings").value(), 1);
   EXPECT_GE(pool.metrics().histogram("runtime.wakeup_latency_us").count(), 1u);
   sub.reset();
@@ -234,6 +238,49 @@ TEST(SubscriptionTest, TeardownRacingStallResumeLeavesNoWaiters) {
     });
     pool.Stop();
   }
+}
+
+TEST(SubscriptionTest, CursorBelowARetentionEmptiedLogMovesToTheEndOnce) {
+  // Regression: a stalled kBlock subscription resumed after time retention
+  // had emptied its log. The read returned nothing and left the cursor below
+  // the head, WaitForAppend fired at once because end_offset() > cursor, and
+  // every lap counted the same gap into the log's silent skips again: the
+  // shard spun forever. The read's resume cursor moves past the gap, which
+  // is counted once.
+  RuntimeOptions opts{.shards = 1};
+  opts.tick = common::kMicrosPerSecond;  // Every batch ages the log a second.
+  ShardPool pool(opts);
+  ConcurrentBroker broker(&pool);
+  pool.Start();
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1, .retention = {.retention = 1}}).ok());
+  auto sub = broker.Subscribe("t", 0, 0,
+                              {.handoff_capacity = 2, .slow_consumer = SlowConsumerPolicy::kBlock});
+  ASSERT_NE(sub, nullptr);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(broker.PublishSync("t", {"", "v" + std::to_string(i), 0}, 0).ok());
+  }
+  // Offsets 0 and 1 sit in the handoff; the stalled pump's cursor is 2.
+  // Wait until retention has dropped every record.
+  auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (broker.FirstOffset("t", 0) < 10 && Clock::now() < deadline) {
+  }
+  ASSERT_EQ(broker.FirstOffset("t", 0), 10u);
+
+  // The trigger: draining the handoff resumes the pump at offset 2. From
+  // here on only poll subscription state; a blocking shard call would hang
+  // on a spin.
+  const auto got = DrainAll(sub.get(), 2);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].offset, 1u);
+  deadline = Clock::now() + std::chrono::seconds(10);
+  while (sub->cursor() < 10 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(sub->cursor(), 10u);
+  pool.Stop();
+  EXPECT_EQ(sub->cursor(), pool.core(0).broker->EndOffset("t", 0));
+  EXPECT_EQ(pool.core(0).broker->TotalSilentSkips("t"), 8u);  // Offsets 2..9, once.
+  sub.reset();
 }
 
 // Routed input against a fixed reference: message i goes to partition i % 4,
