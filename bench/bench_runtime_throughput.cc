@@ -28,6 +28,13 @@
 // A/B of batch 512 against batch 1 (best of 2 runs each) and exits nonzero
 // if the batched run is slower — the CI perf gate.
 //
+// Durable mode: --durable=DIR runs one 2-shard, publish-only configuration
+// with every shard journaled to a real-file WAL tree (wal::PosixVfs) under a
+// fresh DIR/bench_runtime_throughput-wal, replicated to one follower tree
+// (RF 2, quorum ack), and reports records/s plus the follower acks sent per
+// applied frame. The tree is removed afterwards. Disk timings are noisy, so
+// no gate rides on it.
+//
 // Load modes: the default is the classic closed loop (producers retry
 // through backpressure as fast as the runtime admits — peak-capacity
 // measurement). --arrival-rate=N switches the publish plane to OPEN-LOOP
@@ -42,13 +49,14 @@
 //   ./bench_runtime_throughput [--messages=N] [--producers=P] [--consumers=C]
 //                              [--watchers=W] [--consumer-mode=event|periodic]
 //                              [--publish-batch=N] [--arrival-rate=N] [--theta=F]
-//                              [--smoke] [--json=PATH]
+//                              [--smoke] [--durable=DIR] [--json=PATH]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,6 +78,7 @@
 #include "runtime/publish_batch.h"
 #include "runtime/shard_pool.h"
 #include "runtime/subscription.h"
+#include "wal/posix_vfs.h"
 #include "watch/api.h"
 
 namespace {
@@ -119,6 +128,9 @@ struct RunResult {
   double p50_us = 0;
   double p99_us = 0;
   double msgs_per_sec = 0;
+  // Durable mode: follower acks sent and frames applied.
+  std::int64_t repl_acks_sent = 0;
+  std::int64_t repl_frames_applied = 0;
 };
 
 // Key prefixes spread uniformly over 'a'..'z'; both the shard splits and the
@@ -137,10 +149,19 @@ common::Key SplitPoint(std::size_t i, std::size_t n) {
 // is split across producers, each following its own seeded virtual-time
 // schedule for per_producer arrivals with ONE TryPublish per arrival
 // (`theta` skews the keys); 0 is the classic closed loop.
+// A non-empty `durable_dir` journals every shard to real files under it,
+// replicated to one follower tree (RF 2).
 RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers,
                   int per_producer, bool trace, bool event_consumers, int publish_batch,
-                  bool publish_only, double arrival_rate = 0, double theta = 0) {
+                  bool publish_only, double arrival_rate = 0, double theta = 0,
+                  const std::string& durable_dir = "") {
+  wal::PosixVfs posix_vfs;  // Outlives the pool.
   runtime::RuntimeOptions options;
+  if (!durable_dir.empty()) {
+    options.durable_vfs = &posix_vfs;
+    options.durable_dir = durable_dir;
+    options.replication_factor = 2;
+  }
   options.shards = shards;
   options.queue_capacity = 8192;
   options.max_batch = 256;
@@ -393,6 +414,10 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
     t.join();
   }
   pool.Quiesce();  // Every accepted publish/ingest is applied; watch delivery done.
+  if (!pool.durable_status().ok()) {
+    std::fprintf(stderr, "durable write failed: %s\n", pool.durable_status().message().c_str());
+    std::abort();
+  }
   stop.store(true);
   for (auto& t : consumer_threads) {
     t.join();
@@ -422,6 +447,8 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
   r.consumed = consumed.load();
   r.p50_us = latency.Percentile(50);
   r.p99_us = latency.Percentile(99);
+  r.repl_acks_sent = pool.metrics().counter("wal.repl.acks_sent").value();
+  r.repl_frames_applied = pool.metrics().counter("wal.repl.frames_applied").value();
   // Open loop: goodput is what was ACCEPTED; offered arrivals that bounced
   // are loss, not throughput.
   r.msgs_per_sec = static_cast<double>(r.accepted) / r.elapsed_sec;
@@ -480,6 +507,7 @@ int main(int argc, char** argv) {
   bool trace = false;
   bool smoke = false;
   std::string consumer_mode = "event";
+  std::string durable_root;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace") {
@@ -488,6 +516,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg.rfind("--consumer-mode=", 0) == 0) {
       consumer_mode = arg.substr(std::string("--consumer-mode=").size());
+    } else if (arg.rfind("--durable=", 0) == 0) {
+      durable_root = arg.substr(std::string("--durable=").size());
     }
   }
   if (consumer_mode != "event" && consumer_mode != "periodic") {
@@ -550,6 +580,48 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("smoke PASS\n");
+    return 0;
+  }
+
+  if (!durable_root.empty()) {
+    // A fresh tree per run: a leftover one would be recovered, topic and all.
+    const std::filesystem::path dir =
+        std::filesystem::path(durable_root) / "bench_runtime_throughput-wal";
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    const RunResult r = RunOnce(2, producers, consumers, /*watchers=*/0, per_producer, trace,
+                                event_consumers, publish_batch, /*publish_only=*/true,
+                                /*arrival_rate=*/0, /*theta=*/0, dir.string());
+    std::filesystem::remove_all(dir, ec);
+    const double acks_per_frame =
+        r.repl_frames_applied > 0
+            ? static_cast<double>(r.repl_acks_sent) / static_cast<double>(r.repl_frames_applied)
+            : 0;
+    std::printf("durable: 2 shards, RF 2 on real files under %s, %d producers x %d records, "
+                "publish batch %d, %d consumers (%s)\n",
+                durable_root.c_str(), producers, per_producer, publish_batch, consumers,
+                consumer_mode.c_str());
+    std::printf("  %.0f records/sec (%.2fs), follower acks per applied frame %.3f (%lld / %lld)\n",
+                r.msgs_per_sec, r.elapsed_sec, acks_per_frame,
+                static_cast<long long>(r.repl_acks_sent),
+                static_cast<long long>(r.repl_frames_applied));
+    if (const auto json_path = bench::JsonPathFlag(argc, argv)) {
+      bench::Json doc = bench::Json::Object();
+      doc["bench"] = "bench_runtime_throughput_durable";
+      doc["hardware_concurrency"] = static_cast<std::int64_t>(cores);
+      doc["producers"] = producers;
+      doc["consumers"] = consumers;
+      doc["messages_per_producer"] = per_producer;
+      doc["publish_batch"] = static_cast<std::int64_t>(publish_batch);
+      doc["records_per_sec"] = r.msgs_per_sec;
+      doc["elapsed_sec"] = r.elapsed_sec;
+      doc["repl_acks_sent"] = r.repl_acks_sent;
+      doc["repl_frames_applied"] = r.repl_frames_applied;
+      if (!doc.WriteFile(*json_path)) {
+        std::fprintf(stderr, "failed to write %s\n", json_path->c_str());
+        return 1;
+      }
+    }
     return 0;
   }
 

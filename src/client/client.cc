@@ -67,7 +67,7 @@ Client::~Client() {
   }
   if (!broken_ && fd_.valid()) {
     // Best-effort GOODBYE so the server logs a graceful close, not a break.
-    (void)SendFrame(net::Verb::kGoodbye, NextId(), "");
+    (void)WriteFrame(net::Verb::kGoodbye, NextId(), "");
   }
 }
 
@@ -79,7 +79,7 @@ common::Status Client::Handshake() {
   net::Encode(req, &payload);
   std::string response;
   const std::uint64_t rid = NextId();
-  RETURN_IF_ERROR(SendFrame(net::Verb::kHello, rid, payload));
+  RETURN_IF_ERROR(WriteFrame(net::Verb::kHello, rid, payload));
   const common::Status st =
       Call(net::Verb::kHello, rid, "", &response, nullptr, /*send=*/false);
   if (!st.ok()) {
@@ -114,7 +114,7 @@ void Client::StartHeartbeats() {
       net::Encode(beat, &payload);
       // Writes only — the user thread owns all reads; the echo is dropped by
       // RouteFrame when nobody is waiting on its request id.
-      (void)SendFrame(net::Verb::kHeartbeat, 0, payload);
+      (void)WriteFrame(net::Verb::kHeartbeat, 0, payload);
     }
   });
 }
@@ -135,7 +135,7 @@ void Client::MarkBroken(const std::string& why) {
   }
 }
 
-common::Status Client::SendFrame(net::Verb verb, std::uint64_t request_id,
+common::Status Client::WriteFrame(net::Verb verb, std::uint64_t request_id,
                                  const std::string& payload) {
   if (broken_) {
     return BrokenStatus();
@@ -235,7 +235,7 @@ common::Status Client::Call(net::Verb verb, std::uint64_t request_id, const std:
                             std::string* response, common::TimeMicros* retry_after_us,
                             bool send) {
   if (send) {
-    RETURN_IF_ERROR(SendFrame(verb, request_id, payload));
+    RETURN_IF_ERROR(WriteFrame(verb, request_id, payload));
   }
   const common::Status pumped = PumpUntil(
       [this, request_id] {
@@ -312,7 +312,7 @@ common::Status Client::Publish(const std::string& topic, common::Key key, common
   net::Encode(req, &payload);
 
   if (ack == net::PublishAck::kNone) {
-    return SendFrame(net::Verb::kPublish, NextId(), payload);
+    return WriteFrame(net::Verb::kPublish, NextId(), payload);
   }
   for (std::size_t attempt = 0;; ++attempt) {
     std::string response;

@@ -154,7 +154,7 @@ class Client {
   common::Result<std::unique_ptr<::client::Watch>> OpenWatch(const net::WatchRequest& req);
 
   // Sends one frame (serialized with the heartbeat thread).
-  common::Status SendFrame(net::Verb verb, std::uint64_t request_id, const std::string& payload);
+  common::Status WriteFrame(net::Verb verb, std::uint64_t request_id, const std::string& payload);
   // Sends a request (unless `send` is false: the frame was already written,
   // e.g. the handshake) and blocks for its response (same verb or ERROR,
   // same request id), demuxing pushes meanwhile. On ERROR, returns the

@@ -1,6 +1,7 @@
 #include "pubsub/broker.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace pubsub {
 
@@ -223,78 +224,100 @@ common::Result<PublishResult> Broker::Publish(const std::string& topic, Message 
     p = t.next_round_robin;
     t.next_round_robin = (t.next_round_robin + 1) % t.config.partitions;
   }
-  msg.publish_time = sim_->Now();
-  if (obs::TracingEnabled()) {
-    if (!msg.trace.considered()) {
-      msg.trace = obs::TraceContext::Start();  // Origin: publish accepted.
-    }
-    if (msg.trace.active()) {  // Sampled-out records skip the clock read.
-      msg.trace.Stamp(obs::Stage::kAppend, obs::NowMicros());
-    }
-  }
-  const Offset offset = t.partitions[p]->Append(std::move(msg));
-  NotifyAppendWaiters(topic, p, t.partitions[p]->end_offset());
-  DispatchInterests(t, p);
-  return PublishResult{p, offset};
+  return PublishResult{p, AppendRun(topic, t, p, std::span<Message>(&msg, 1))};
 }
 
-common::Result<PublishResult> Broker::PublishSpan(const std::string& topic, std::string_view key,
-                                                  std::string_view value, const Headers* headers,
-                                                  std::optional<PartitionId> partition) {
-  // The one and only owned-Message construction for this record: the spans
-  // (typically arena slices staged by a producer batch) are materialized
-  // into log-owned strings here, at append.
-  Message msg;
-  msg.key.assign(key.data(), key.size());
-  msg.value.assign(value.data(), value.size());
-  if (headers != nullptr) {
-    msg.headers = *headers;
+common::Result<PublishResult> Broker::PublishRun(const std::string& topic, PartitionId partition,
+                                                 std::span<const RecordView> records) {
+  auto it = topics_.find(topic);
+  if (it == topics_.end()) {
+    return common::Status::NotFound("no such topic: " + topic);
   }
-  return Publish(topic, std::move(msg), partition);
+  Topic& t = it->second;
+  if (partition >= t.config.partitions) {
+    return common::Status::InvalidArgument("partition out of range");
+  }
+  // The one owned-Message construction for each record: the views are
+  // materialized into log-owned strings here, at append.
+  std::vector<Message> run(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    run[i].key.assign(records[i].key.data(), records[i].key.size());
+    run[i].value.assign(records[i].value.data(), records[i].value.size());
+    if (records[i].headers != nullptr) {
+      run[i].headers = *records[i].headers;
+    }
+  }
+  return PublishResult{partition, AppendRun(topic, t, partition, run)};
 }
 
-void Broker::DispatchInterests(Topic& t, PartitionId partition) {
+Offset Broker::AppendRun(const std::string& topic, Topic& t, PartitionId partition,
+                         std::span<Message> run) {
+  const common::TimeMicros now = sim_->Now();
+  const bool tracing = obs::TracingEnabled();
+  for (Message& msg : run) {
+    msg.publish_time = now;
+    if (tracing) {
+      if (!msg.trace.considered()) {
+        msg.trace = obs::TraceContext::Start();  // Origin: publish accepted.
+      }
+      if (msg.trace.active()) {  // Sampled-out records skip the clock read.
+        msg.trace.Stamp(obs::Stage::kAppend, obs::NowMicros());
+      }
+    }
+  }
+  PartitionLog& log = *t.partitions[partition];
+  const Offset first = log.AppendRun(run);
+  NotifyAppendWaiters(topic, partition, log.end_offset());
+  DispatchInterests(t, partition, first);
+  return first;
+}
+
+void Broker::DispatchInterests(Topic& t, PartitionId partition, Offset first) {
   InterestIndex& idx = *t.interest[partition];
   if (idx.subscriber_count() == 0) {
     return;
   }
+  // The run's records sit at the tail; the size cap may have trimmed its
+  // head already.
   const auto& entries = t.partitions[partition]->entries();
-  if (entries.empty()) {
-    return;  // A zero-size cap can drop the record at append time.
+  auto from = entries.end();
+  while (from != entries.begin() && std::prev(from)->offset >= first) {
+    --from;
   }
-  const StoredMessage& sm = entries.back();
   const std::uint64_t scanned_before = idx.lanes_scanned();
   const std::uint64_t matched_before = idx.lanes_matched();
   std::uint64_t woken = 0;
-  bool matched_any = false;
-  idx.Match(sm.message.key, sm.message.headers, [&](InterestIndex::SubscriberId id) {
-    matched_any = true;
-    auto it = interests_.find(id);
-    if (it == interests_.end()) {
-      return;
-    }
-    Interest& interest = it->second;
-    // Only a parked waiter whose target offset has arrived wakes; a consumer
-    // mid-catch-up (no parked waiter) will meet this record via its filtered
-    // fetch cursor instead.
-    if (interest.ticket == 0 || sm.offset < interest.wait_offset) {
-      return;
-    }
-    auto w = waiter_index_.find(interest.ticket);
-    sim_->After(0, std::move(w->second.fn));
-    waiter_index_.erase(w);
-    interest.ticket = 0;
-    ++woken;
-  });
+  std::uint64_t appends_matched = 0;
+  for (auto sm = from; sm != entries.end(); ++sm) {
+    bool matched_any = false;
+    idx.Match(sm->message.key, sm->message.headers, [&](InterestIndex::SubscriberId id) {
+      matched_any = true;
+      auto it = interests_.find(id);
+      if (it == interests_.end()) {
+        return;
+      }
+      Interest& interest = it->second;
+      // Only a parked waiter whose target offset has arrived wakes; a
+      // consumer mid-catch-up (no parked waiter) will meet this record via
+      // its filtered fetch cursor instead.
+      if (interest.ticket == 0 || sm->offset < interest.wait_offset) {
+        return;
+      }
+      auto w = waiter_index_.find(interest.ticket);
+      sim_->After(0, std::move(w->second.fn));
+      waiter_index_.erase(w);
+      interest.ticket = 0;
+      ++woken;
+    });
+    appends_matched += matched_any ? 1 : 0;
+  }
   if (fanout_wakeups_ != nullptr) {
     fanout_wakeups_->Increment(static_cast<std::int64_t>(woken));
     fanout_lanes_scanned_->Increment(
         static_cast<std::int64_t>(idx.lanes_scanned() - scanned_before));
     fanout_lanes_matched_->Increment(
         static_cast<std::int64_t>(idx.lanes_matched() - matched_before));
-    if (matched_any) {
-      fanout_appends_matched_->Increment();
-    }
+    fanout_appends_matched_->Increment(static_cast<std::int64_t>(appends_matched));
   }
 }
 

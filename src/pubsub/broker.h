@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -109,19 +110,18 @@ class Broker {
 
   // -- Publishing ---------------------------------------------------------------
 
-  // Routes by config (key hash / round robin) unless `partition` is given.
+  // Routes by config (key hash / round robin) unless `partition` is given,
+  // then appends `msg` as a run of one.
   common::Result<PublishResult> Publish(const std::string& topic, Message msg,
                                         std::optional<PartitionId> partition = std::nullopt);
 
-  // Span-staged publish: the arena-backed batch path hands the broker
-  // borrowed key/value views (slices of a producer's arena) and the owned
-  // Message strings are constructed exactly once, here at append — no
-  // intermediate per-message std::string on the producer side. `headers`
-  // is borrowed too (nullptr: none); copied at append like key/value.
-  common::Result<PublishResult> PublishSpan(const std::string& topic, std::string_view key,
-                                            std::string_view value,
-                                            const Headers* headers = nullptr,
-                                            std::optional<PartitionId> partition = std::nullopt);
+  // Span-staged run publish: appends `records` to `partition` in order, at
+  // consecutive offsets, as one run. The arena-backed batch path hands the
+  // broker borrowed views (slices of a producer's arena), and the owned
+  // Message strings are constructed exactly once, here at append. A durable
+  // partition journals the run as one wal batch. Returns the first offset.
+  common::Result<PublishResult> PublishRun(const std::string& topic, PartitionId partition,
+                                           std::span<const RecordView> records);
 
   // Grows an existing topic by `additional` empty partitions (the autosharder
   // / operator "scale out the topic" path). Existing partitions and offsets
@@ -358,9 +358,17 @@ class Broker {
   // target offset is now available, i.e. offset < end.
   void NotifyAppendWaiters(const std::string& topic, PartitionId partition, Offset end);
 
-  // Fires parked WaitForMatch wakeups whose filters match the record just
-  // appended to (topic, partition) — the O(matching) append fanout path.
-  void DispatchInterests(Topic& t, PartitionId partition);
+  // The one append body: stamps `run` (moved from), appends it to
+  // `partition` as one run, wakes the partition's append waiters once and
+  // dispatches the run's retained records to the interest index. Returns the
+  // run's first offset.
+  Offset AppendRun(const std::string& topic, Topic& t, PartitionId partition,
+                   std::span<Message> run);
+
+  // Fires parked WaitForMatch wakeups whose filters match a record appended
+  // to (topic, partition) at or past offset `first` — the O(matching) append
+  // fanout path.
+  void DispatchInterests(Topic& t, PartitionId partition, Offset first);
 
   // One parked long-poll wakeup. Exactly one key is meaningful: data waiters
   // carry (topic, partition, offset); rebalance waiters carry the group id;

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <ranges>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,27 +41,37 @@ struct RetentionEvent {
 
 class PartitionLog {
  public:
-  using AppendCallback = std::function<void(const StoredMessage&)>;
+  // The records of one append run, at consecutive offsets.
+  using Run = std::ranges::subrange<std::deque<StoredMessage>::const_iterator>;
+  using AppendCallback = std::function<void(Run)>;
   using RetentionCallback = std::function<void(const RetentionEvent&)>;
 
   explicit PartitionLog(RetentionPolicy policy) : policy_(policy) {}
 
-  // Observation hooks for the WAL journal. The append callback fires before
-  // any size-cap trim its append may trigger, so a journal sees the op order
-  // exactly as it happened. Not fired by the Restore* replay APIs.
+  // Observation hooks for the WAL journal. The append callback fires once
+  // per run, before the size-cap trim the run may trigger, so a journal sees
+  // the op order exactly as it happened. Not fired by the Restore* replay
+  // APIs.
   void set_append_callback(AppendCallback cb) { append_cb_ = std::move(cb); }
   void set_retention_callback(RetentionCallback cb) { retention_cb_ = std::move(cb); }
 
-  // Appends a message, returning its offset.
-  Offset Append(Message msg) {
-    log_.push_back(StoredMessage{next_offset_++, std::move(msg)});
-    const Offset offset = log_.back().offset;
-    if (append_cb_) {
-      append_cb_(log_.back());
+  // Appends `run` (moved from) at consecutive offsets and returns the first.
+  // The append callback sees the whole run, then the size cap is enforced
+  // once.
+  Offset AppendRun(std::span<Message> run) {
+    const Offset first = next_offset_;
+    for (Message& msg : run) {
+      log_.push_back(StoredMessage{next_offset_++, std::move(msg)});
+    }
+    if (append_cb_ && !run.empty()) {
+      append_cb_(Run(log_.cend() - static_cast<std::ptrdiff_t>(run.size()), log_.cend()));
     }
     EnforceSizeCap();
-    return offset;
+    return first;
   }
+
+  // Appends one message: a run of one.
+  Offset Append(Message msg) { return AppendRun(std::span<Message>(&msg, 1)); }
 
   // First offset still present (== end_offset() when empty after GC).
   Offset first_offset() const { return log_.empty() ? next_offset_ : log_.front().offset; }

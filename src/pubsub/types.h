@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,14 @@ struct Message {
     return a.key == b.key && a.value == b.value && a.publish_time == b.publish_time &&
            a.headers == b.headers;
   }
+};
+
+// A record staged outside the broker: borrowed key/value bytes and headers
+// (nullptr: none). Broker::PublishRun copies them into the log at append.
+struct RecordView {
+  std::string_view key;
+  std::string_view value;
+  const Headers* headers = nullptr;
 };
 
 struct StoredMessage {

@@ -190,14 +190,25 @@ common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
     const bool rejected =
         pool_->ShardFailingOver(shard) ||
         !pool_->TryPost(shard, [pool = pool_, shard, topic, batch,
-                                group = std::move(group)] {
-          // One task appends the whole group; the owned Message is built
-          // once per record, here at append, from the batch's arena views.
+                                group = std::move(group)]() mutable {
+          // One task appends the whole group as one run per partition. The
+          // split runs here, on the shard, off the producer's post path; the
+          // stable sort keeps staging order within each partition.
+          std::stable_sort(group.begin(), group.end(), [](const Routed& a, const Routed& b) {
+            return a.partition < b.partition;
+          });
           pubsub::Broker* broker = pool->core(shard).broker.get();
           const std::vector<PublishBatch::Staged>& records = batch->staged();
-          for (const Routed& r : group) {
-            const PublishBatch::Staged& s = records[r.index];
-            (void)broker->PublishSpan(topic, s.key, s.value, s.headers, r.partition);
+          std::vector<pubsub::RecordView> run;
+          run.reserve(group.size());
+          for (std::size_t i = 0; i < group.size();) {
+            const pubsub::PartitionId p = group[i].partition;
+            run.clear();
+            for (; i < group.size() && group[i].partition == p; ++i) {
+              run.push_back(records[group[i].index]);
+            }
+            // Cannot fail: the topic exists on every shard and p is in range.
+            (void)broker->PublishRun(topic, p, run);
           }
         });
     if (rejected) {

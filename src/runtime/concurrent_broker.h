@@ -75,16 +75,18 @@ class ConcurrentBroker {
   // Batched fire-and-forget publish — the arena-backed hot path. Routes each
   // staged record (key hash, else the facade's round-robin cursor), groups
   // records by owner shard, and posts ONE ring task per involved shard; the
-  // task appends its whole group in staging order via Broker::PublishSpan,
-  // so per-producer order per partition is preserved and the per-message
-  // closure/queue cost is amortized over the group. Groups post in shard
-  // order and independently: on the first saturated (or failing-over) shard
-  // the remaining groups are NOT posted, kUnavailable is returned with
-  // `retry_after` set, and `*accepted` (optional) reports how many staged
-  // records earlier groups accepted. When one shard owns every record — the
-  // single-partition / keyed hot path this exists for — that makes the batch
-  // all-or-nothing. The batch is shared-owned by the posted tasks; do not
-  // mutate (Clear/Add) a successfully posted batch until its tasks drained.
+  // task splits its group into one run per partition, in staging order, and
+  // appends each run with Broker::PublishRun. So per-producer order per
+  // partition is preserved, the per-message closure/queue cost is amortized
+  // over the group, and a durable partition journals each run as one wal
+  // batch. Groups post in shard order and independently: on the first
+  // saturated (or failing-over) shard the remaining groups are NOT posted,
+  // kUnavailable is returned with `retry_after` set, and `*accepted`
+  // (optional) reports how many staged records earlier groups accepted.
+  // When one shard owns every record — the single-partition / keyed hot
+  // path this exists for — that makes the batch all-or-nothing. The batch
+  // is shared-owned by the posted tasks; do not mutate (Clear/Add) a
+  // successfully posted batch until its tasks drained.
   common::Status TryPublishBatch(const std::string& topic, std::shared_ptr<PublishBatch> batch,
                                  common::TimeMicros* retry_after = nullptr,
                                  std::size_t* accepted = nullptr);

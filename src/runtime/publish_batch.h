@@ -5,7 +5,7 @@
 // contiguous bumps, and the staged record is just a pair of string_views
 // over those slabs. ConcurrentBroker::TryPublishBatch then routes the whole
 // batch with ONE ring task per owner shard; the owned Message strings are
-// constructed exactly once, on the shard, at append (Broker::PublishSpan).
+// constructed exactly once, on the shard, at append (Broker::PublishRun).
 //
 // Ownership: a batch handed to TryPublishBatch is shared-owned by the posted
 // shard tasks and must not be mutated until they run; producers that want to
@@ -30,11 +30,7 @@ class PublishBatch {
  public:
   // One staged record: borrowed views into the batch's arena (key/value) and
   // header storage (headers; nullptr when none).
-  struct Staged {
-    std::string_view key;
-    std::string_view value;
-    const pubsub::Headers* headers = nullptr;
-  };
+  using Staged = pubsub::RecordView;
 
   explicit PublishBatch(std::size_t reserve_records = 64,
                         std::size_t arena_slab_bytes = common::Arena::kDefaultSlabBytes)

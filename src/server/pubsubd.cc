@@ -340,7 +340,7 @@ void Server::Loop() {
       if (s == nullptr || s->dead) {
         continue;  // Session died while its shard-side work was in flight.
       }
-      SendFrame(*s, c.verb, c.request_id, c.payload);
+      QueueFrame(*s, c.verb, c.request_id, c.payload);
     }
     // Pump every live session: subscriptions ring through the wake pipe but
     // the pump itself is idempotent and cheap when nothing is buffered, and
@@ -489,7 +489,7 @@ void Server::FlushSession(Session& s) {
   }
 }
 
-void Server::SendFrame(Session& s, net::Verb verb, std::uint64_t request_id,
+void Server::QueueFrame(Session& s, net::Verb verb, std::uint64_t request_id,
                        const std::string& payload) {
   if (s.dead) {
     return;
@@ -507,7 +507,7 @@ void Server::SendError(Session& s, std::uint64_t request_id, const common::Statu
   net::Encode(net::ErrorBody{static_cast<std::uint32_t>(status.code()), retry_after_us,
                              status.message()},
               &payload);
-  SendFrame(s, net::Verb::kError, request_id, payload);
+  QueueFrame(s, net::Verb::kError, request_id, payload);
 }
 
 void Server::FailSession(Session& s, std::uint64_t request_id, const common::Status& status,
@@ -556,7 +556,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
     resp.server_name = options_.name;
     std::string payload;
     net::Encode(resp, &payload);
-    SendFrame(s, net::Verb::kHello, frame.request_id, payload);
+    QueueFrame(s, net::Verb::kHello, frame.request_id, payload);
     return;
   }
 
@@ -564,11 +564,11 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
     case net::Verb::kHeartbeat: {
       // Echo verbatim (same request id, same timestamp): the client measures
       // liveness RTT; the server side already refreshed last_recv_us.
-      SendFrame(s, net::Verb::kHeartbeat, frame.request_id, std::string(frame.payload));
+      QueueFrame(s, net::Verb::kHeartbeat, frame.request_id, std::string(frame.payload));
       return;
     }
     case net::Verb::kGoodbye: {
-      SendFrame(s, net::Verb::kGoodbye, frame.request_id, "");
+      QueueFrame(s, net::Verb::kGoodbye, frame.request_id, "");
       s.saw_goodbye = true;
       s.closing = true;
       s.close_cause = "goodbye";
@@ -584,7 +584,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       // plane; rare by construction).
       const common::Status st = broker_->CreateTopic(req.topic, req.config);
       if (st.ok()) {
-        SendFrame(s, net::Verb::kCreateTopic, frame.request_id, "");
+        QueueFrame(s, net::Verb::kCreateTopic, frame.request_id, "");
       } else {
         SendError(s, frame.request_id, st, 0);
       }
@@ -654,7 +654,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       } else if (req.ack == net::PublishAck::kAccept) {
         std::string payload;
         net::Encode(net::PublishResponse{}, &payload);
-        SendFrame(s, net::Verb::kPublish, frame.request_id, payload);
+        QueueFrame(s, net::Verb::kPublish, frame.request_id, payload);
       }
       return;
     }
@@ -741,7 +741,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       stream.sub = std::move(sub);
       stream.max_batch = std::max<std::uint32_t>(1, req.max_batch);
       s.subs.emplace(frame.request_id, std::move(stream));
-      SendFrame(s, net::Verb::kSubscribe, frame.request_id, "");
+      QueueFrame(s, net::Verb::kSubscribe, frame.request_id, "");
       return;
     }
     case net::Verb::kWatch: {
@@ -785,7 +785,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         return;
       }
       s.watches.emplace(frame.request_id, std::move(stream));
-      SendFrame(s, net::Verb::kWatch, frame.request_id, "");
+      QueueFrame(s, net::Verb::kWatch, frame.request_id, "");
       return;
     }
     case net::Verb::kCommit: {
@@ -807,7 +807,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         if (st.ok()) {
           std::string payload;
           net::Encode(net::CommitResponse{}, &payload);
-          SendFrame(s, net::Verb::kCommit, frame.request_id, payload);
+          QueueFrame(s, net::Verb::kCommit, frame.request_id, payload);
           return;
         }
       } else {
@@ -848,7 +848,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         watch_it->second->handle->Cancel();
         s.watches.erase(watch_it);
       }
-      SendFrame(s, net::Verb::kCancel, frame.request_id, "");
+      QueueFrame(s, net::Verb::kCancel, frame.request_id, "");
       return;
     }
     default:
@@ -889,7 +889,7 @@ void Server::PumpSubscriptions(Session& s) {
       }
       std::string payload;
       net::Encode(batch, &payload, s.wire_version);
-      SendFrame(s, net::Verb::kDeliver, rid, payload);
+      QueueFrame(s, net::Verb::kDeliver, rid, payload);
     }
     if (!broken && stream.sub->broken()) {
       broken = true;
@@ -927,7 +927,7 @@ void Server::PumpWatches(Session& s) {
     }
     std::string payload;
     net::Encode(push, &payload);
-    SendFrame(s, net::Verb::kWatchPush, rid, payload);
+    QueueFrame(s, net::Verb::kWatchPush, rid, payload);
     if (terminal) {
       finished.push_back(rid);
       if (overflowed) {

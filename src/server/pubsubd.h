@@ -144,7 +144,7 @@ class Server {
   void DispatchFrame(Session& s, const net::Frame& frame);
   void PumpSubscriptions(Session& s);
   void PumpWatches(Session& s);
-  void SendFrame(Session& s, net::Verb verb, std::uint64_t request_id,
+  void QueueFrame(Session& s, net::Verb verb, std::uint64_t request_id,
                  const std::string& payload);
   void SendError(Session& s, std::uint64_t request_id, const common::Status& status,
                  common::TimeMicros retry_after_us);

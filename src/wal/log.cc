@@ -42,10 +42,28 @@ bool ParseSegmentName(const std::string& name, std::uint64_t* first_index) {
 
 std::uint32_t FrameCrc(std::string_view index_and_payload) { return Crc32c(index_and_payload); }
 
+// Appends one frame for record `index` to `out`.
+void PutFrame(std::string* out, std::uint64_t index, std::string_view payload) {
+  const std::size_t at = out->size();
+  PutU32(out, 0);  // CRC, filled in once the index bytes are in place.
+  PutU32(out, static_cast<std::uint32_t>(payload.size()));
+  PutU64(out, index);
+  out->append(payload);
+  const std::uint32_t crc = Crc32c(payload, Crc32c(std::string_view(out->data() + at + 8, 8)));
+  const std::uint32_t masked = MaskCrc(crc);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[at + static_cast<std::size_t>(i)] = static_cast<char>((masked >> (8 * i)) & 0xffu);
+  }
+}
+
 }  // namespace
 
 Log::Log(Vfs* vfs, std::string dir, LogOptions options, common::MetricsRegistry* metrics)
-    : vfs_(vfs), dir_(std::move(dir)), options_(options), metrics_(metrics) {}
+    : vfs_(vfs),
+      dir_(std::move(dir)),
+      options_(options),
+      metrics_(metrics),
+      appends_(metrics != nullptr ? &metrics->counter("wal.appends") : nullptr) {}
 
 void Log::Count(const std::string& name, std::int64_t delta) {
   if (metrics_ != nullptr) {
@@ -193,10 +211,7 @@ common::Status Log::OpenActiveForAppend() {
   return common::Status::Ok();
 }
 
-common::Status Log::RotateIfNeeded() {
-  if (segments_.back().bytes < options_.segment_bytes) {
-    return common::Status::Ok();
-  }
+common::Status Log::Rotate() {
   // Seal: sync then close, so sealed segments are fully durable before any
   // later write. Recovery relies on this to treat sealed anomalies as
   // corruption rather than crash artifacts.
@@ -206,33 +221,52 @@ common::Status Log::RotateIfNeeded() {
   return OpenActiveForAppend();
 }
 
-common::Result<std::uint64_t> Log::Append(std::string_view payload) {
-  RETURN_IF_ERROR(RotateIfNeeded());
-  const std::uint64_t index = next_index_;
-
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  std::string index_bytes;
-  PutU64(&index_bytes, index);
-  std::uint32_t crc = Crc32c(index_bytes);
-  crc = Crc32c(payload, crc);
-  PutU32(&frame, MaskCrc(crc));
-  PutU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  frame += index_bytes;
-  frame.append(payload);
-
-  RETURN_IF_ERROR(active_file_->Append(frame));
-  segments_.back().bytes += frame.size();
-  segments_.back().end_index = index + 1;
-  next_index_ = index + 1;
+common::Result<std::uint64_t> Log::AppendBatch(std::span<const std::string_view> payloads) {
+  const std::uint64_t first = next_index_;
+  if (payloads.empty()) {
+    return first;
+  }
+  std::size_t total = 0;
+  for (std::string_view payload : payloads) {
+    total += kFrameHeaderBytes + payload.size();
+  }
+  // Frames bound for the active segment, written with one Append.
+  std::string pending;
+  pending.reserve(total);
+  std::uint64_t pending_records = 0;
+  auto write_pending = [&]() -> common::Status {
+    if (pending_records == 0) {
+      return common::Status::Ok();
+    }
+    RETURN_IF_ERROR(active_file_->Append(pending));
+    segments_.back().bytes += pending.size();
+    next_index_ += pending_records;
+    segments_.back().end_index = next_index_;
+    pending.clear();
+    pending_records = 0;
+    return common::Status::Ok();
+  };
+  for (std::string_view payload : payloads) {
+    // The rotation rule of a single append: a record opens a new segment
+    // once the active one has reached segment_bytes.
+    if (segments_.back().bytes + pending.size() >= options_.segment_bytes) {
+      RETURN_IF_ERROR(write_pending());
+      RETURN_IF_ERROR(Rotate());
+    }
+    PutFrame(&pending, next_index_ + pending_records, payload);
+    ++pending_records;
+  }
+  RETURN_IF_ERROR(write_pending());
   if (options_.sync_every_append) {
     RETURN_IF_ERROR(active_file_->Sync());
   }
-  Count("wal.appends", 1);
-  if (append_observer_) {
-    append_observer_(index, payload);
+  if (appends_ != nullptr) {
+    appends_->Increment(static_cast<std::int64_t>(payloads.size()));
   }
-  return index;
+  if (append_observer_) {
+    append_observer_(first, payloads);
+  }
+  return first;
 }
 
 common::Status Log::Sync() { return active_file_->Sync(); }
@@ -351,10 +385,15 @@ common::Result<bool> LogReader::Next(std::uint64_t* index, std::string* payload)
 
 std::uint64_t Log::active_segment_first_index() const { return segments_.back().first_index; }
 
-std::vector<SegmentInfo> Log::Segments() const {
+std::vector<SegmentInfo> Log::Segments(std::uint64_t from_index) const {
+  std::size_t first = segments_.size();
+  while (first > 0 && (segments_[first - 1].end_index > from_index ||
+                       segments_[first - 1].first_index >= from_index)) {
+    --first;
+  }
   std::vector<SegmentInfo> out;
-  out.reserve(segments_.size());
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
+  out.reserve(segments_.size() - first);
+  for (std::size_t i = first; i < segments_.size(); ++i) {
     out.push_back(SegmentInfo{segments_[i].first_index, segments_[i].end_index,
                               segments_[i].bytes, i + 1 < segments_.size()});
   }

@@ -13,11 +13,14 @@
 //
 // Segment lifecycle: records append to the highest-numbered segment file,
 // `seg-<first_index %020llu>.wal`. When the active segment reaches
-// `segment_bytes` it is synced and sealed, and the next append opens a new
-// segment named by its first record index. Sealed segments are immutable and
-// fully durable (the seal sync ran before any later append), so GC can drop
-// a prefix of them wholesale via DropSealedSegmentsBefore once their records
-// are superseded by a durable snapshot record — the caller's responsibility.
+// `segment_bytes` it is synced and sealed, and the next record opens a new
+// segment named by its first record index. A batch rotates at the same record
+// boundaries as the same records appended one at a time; it writes the frames
+// bound for each segment it touches in one file write and syncs once. Sealed
+// segments are immutable and fully durable (the seal sync ran before any
+// later append), so GC can drop a prefix of them wholesale via
+// DropSealedSegmentsBefore once their records are superseded by a durable
+// snapshot record — the caller's responsibility.
 //
 // Recovery (Open) replays every segment in index order and enforces:
 //  * filename / first-record-index agreement and cross-segment continuity;
@@ -38,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,8 +55,9 @@ namespace wal {
 struct LogOptions {
   // Rotation threshold: the active segment seals once its size reaches this.
   std::uint64_t segment_bytes = 64 * 1024;
-  // Sync after every append. The crash sweeps rely on this: an acked append
-  // is durable, so recovered state can be compared against acked state.
+  // Sync at the end of every append batch. The crash sweeps rely on this: an
+  // acked append is durable, so recovered state can be compared against
+  // acked state.
   bool sync_every_append = true;
 };
 
@@ -78,10 +83,12 @@ class Log {
   // recovery and fails Open.
   using ReplayFn = std::function<common::Status(std::uint64_t index, std::string_view payload)>;
 
-  // Called after every durable Append with the record's index and payload —
-  // the replication shipper's live-tail hook. Runs synchronously inside
-  // Append; must not re-enter the log.
-  using AppendObserver = std::function<void(std::uint64_t index, std::string_view payload)>;
+  // Called after every durable append batch with the index of its first
+  // record and its payloads in index order — the replication shipper's
+  // live-tail hook. Runs synchronously inside AppendBatch; must not re-enter
+  // the log.
+  using AppendObserver =
+      std::function<void(std::uint64_t first_index, std::span<const std::string_view> payloads)>;
 
   // Opens (creating `dir` if needed) and replays existing segments through
   // `replay`. `metrics` may be nullptr. `stats` (optional) receives recovery
@@ -91,9 +98,18 @@ class Log {
                                                    const ReplayFn& replay,
                                                    RecoveryStats* stats = nullptr);
 
-  // Appends one record; returns its index. With sync_every_append the record
-  // is durable on return.
-  common::Result<std::uint64_t> Append(std::string_view payload);
+  // Appends `payloads` as consecutive records; returns the first one's index.
+  // Each segment the batch touches gets one file write, and with
+  // sync_every_append the whole batch is durable on return after one Sync
+  // (plus the seal sync of any segment the batch fills). On error the
+  // observer is not called; records whose frames were written stay in the
+  // log, as next_index() shows.
+  common::Result<std::uint64_t> AppendBatch(std::span<const std::string_view> payloads);
+
+  // Appends one record: a batch of one.
+  common::Result<std::uint64_t> Append(std::string_view payload) {
+    return AppendBatch(std::span<const std::string_view>(&payload, 1));
+  }
 
   // Durability barrier for all previously appended records.
   common::Status Sync();
@@ -114,7 +130,8 @@ class Log {
   // appends.
   std::unique_ptr<LogReader> OpenReader(std::uint64_t from_index);
 
-  // Fired after every durable append (replication live tail). nullptr clears.
+  // Fired after every durable append batch (replication live tail). nullptr
+  // clears.
   void set_append_observer(AppendObserver fn) { append_observer_ = std::move(fn); }
 
   // Index the next Append will assign.
@@ -125,7 +142,9 @@ class Log {
   // or the one rotation is about to create).
   std::uint64_t active_segment_first_index() const;
 
-  std::vector<SegmentInfo> Segments() const;
+  // The segments not wholly below `from_index` (every segment by default),
+  // oldest first.
+  std::vector<SegmentInfo> Segments(std::uint64_t from_index = 0) const;
 
   // File name of the segment whose first record is `first_index`
   // ("seg-<index %020llu>.wal"); replication's force-resync uses it to read
@@ -147,13 +166,14 @@ class Log {
 
   std::string SegmentPath(std::uint64_t first_index) const;
   common::Status OpenActiveForAppend();
-  common::Status RotateIfNeeded();
+  common::Status Rotate();
   void Count(const std::string& name, std::int64_t delta);
 
   Vfs* vfs_;
   std::string dir_;
   LogOptions options_;
   common::MetricsRegistry* metrics_;
+  common::Counter* appends_ = nullptr;  // wal.appends, resolved once.
 
   std::vector<Segment> segments_;  // Ordered by first_index; back() is active.
   std::unique_ptr<WritableFile> active_file_;

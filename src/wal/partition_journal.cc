@@ -1,5 +1,6 @@
 #include "wal/partition_journal.h"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -69,7 +70,7 @@ common::Result<std::unique_ptr<PartitionJournal>> PartitionJournal::Open(
   journal->replay_appends_.shrink_to_fit();
 
   log->set_append_callback(
-      [j = journal.get()](const pubsub::StoredMessage& msg) { j->OnAppend(msg); });
+      [j = journal.get()](pubsub::PartitionLog::Run run) { j->OnAppend(run); });
   log->set_retention_callback(
       [j = journal.get()](const pubsub::RetentionEvent& event) { j->OnRetention(event); });
   return journal;
@@ -184,22 +185,6 @@ void PartitionJournal::NoteFailure(const common::Status& status) {
   }
 }
 
-common::Status PartitionJournal::AppendRecord(const std::string& record,
-                                              std::optional<pubsub::Offset> max_offset) {
-  auto appended = wal_->Append(record);
-  if (!appended.ok()) {
-    return appended.status();
-  }
-  if (max_offset.has_value()) {
-    const std::uint64_t seg = wal_->active_segment_first_index();
-    auto [it, inserted] = segment_max_offset_.try_emplace(seg, *max_offset);
-    if (!inserted && *max_offset > it->second) {
-      it->second = *max_offset;
-    }
-  }
-  return common::Status::Ok();
-}
-
 void PartitionJournal::EncodeAppend(std::string* record, pubsub::Offset offset,
                                     std::string_view key, std::string_view value,
                                     common::TimeMicros publish_time,
@@ -218,11 +203,40 @@ void PartitionJournal::EncodeAppend(std::string* record, pubsub::Offset offset,
   }
 }
 
-void PartitionJournal::OnAppend(const pubsub::StoredMessage& msg) {
-  std::string record;
-  EncodeAppend(&record, msg.offset, msg.message.key, msg.message.value,
-               msg.message.publish_time, &msg.message.headers);
-  const common::Status status = AppendRecord(record, msg.offset);
+void PartitionJournal::OnAppend(pubsub::PartitionLog::Run run) {
+  // One buffer holds the whole run's records; the views slice it.
+  std::string encoded;
+  std::vector<std::size_t> ends;
+  ends.reserve(run.size());
+  for (const pubsub::StoredMessage& msg : run) {
+    EncodeAppend(&encoded, msg.offset, msg.message.key, msg.message.value,
+                 msg.message.publish_time, &msg.message.headers);
+    ends.push_back(encoded.size());
+  }
+  std::vector<std::string_view> records;
+  records.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    records.emplace_back(encoded.data() + begin, end - begin);
+    begin = end;
+  }
+  const std::uint64_t first = wal_->next_index();
+  const common::Status status = wal_->AppendBatch(records).status();
+  // Credit every segment the batch reached with the highest offset the run
+  // left there. On error this still covers the records whose frames were
+  // written: they are in the log, so they pin their segments too.
+  const std::uint64_t end = wal_->next_index();
+  for (const SegmentInfo& seg : wal_->Segments(first)) {
+    const std::uint64_t last = std::min(seg.end_index, end);
+    if (last <= std::max(seg.first_index, first)) {
+      continue;  // No record of this run in the segment.
+    }
+    const pubsub::Offset offset = run.front().offset + (last - 1 - first);
+    auto [it, inserted] = segment_max_offset_.try_emplace(seg.first_index, offset);
+    if (!inserted && offset > it->second) {
+      it->second = offset;
+    }
+  }
   if (!status.ok()) {
     NoteFailure(status);
   }
@@ -237,7 +251,7 @@ void PartitionJournal::OnRetention(const pubsub::RetentionEvent& event) {
     PutU8(&record, kTrim);
     PutU64(&record, event.first_offset);
   }
-  common::Status status = AppendRecord(record, std::nullopt);
+  common::Status status = wal_->Append(record).status();
   if (status.ok() && options_.auto_gc_segments) {
     status = GcSegments();
   }
@@ -278,7 +292,7 @@ common::Status PartitionJournal::GcSegments() {
   PutU64(&record, log_->silent_skips());
   PutI64(&record, log_->last_compaction_horizon());
   PutU64(&record, log_->compact_end_offset());
-  RETURN_IF_ERROR(AppendRecord(record, std::nullopt));
+  RETURN_IF_ERROR(wal_->Append(record).status());
   RETURN_IF_ERROR(wal_->Sync());
 
   auto dropped = wal_->DropSealedSegmentsBefore(drop_before);

@@ -3,10 +3,12 @@
 // The journal is an op log, not a state snapshot: every Append / trim /
 // Compact the partition performs is mirrored as a journaled record (via the
 // PartitionLog callbacks), and recovery replays the records in order through
-// the silent Restore* APIs. Re-executing the ops reproduces the partition's
-// state *including* its harness accounting (gced / compacted_away and the
-// compaction bookkeeping the invariant oracle reads), which is what lets an
-// unmodified oracle pass against a recovered stack.
+// the silent Restore* APIs. An append run is journaled as one wal batch: one
+// record per message, one write per segment touched, one sync. Re-executing
+// the ops reproduces the partition's state *including* its harness
+// accounting (gced / compacted_away and the compaction bookkeeping the
+// invariant oracle reads), which is what lets an unmodified oracle pass
+// against a recovered stack.
 //
 // Record types (u8 tag + little-endian fields):
 //   kAppend   offset, key, value, publish_time        — one published message
@@ -31,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,9 +88,8 @@ class PartitionJournal {
                    pubsub::PartitionLog* log);
 
   common::Status Replay(std::uint64_t index, std::string_view payload);
-  void OnAppend(const pubsub::StoredMessage& msg);
+  void OnAppend(pubsub::PartitionLog::Run run);
   void OnRetention(const pubsub::RetentionEvent& event);
-  common::Status AppendRecord(const std::string& record, std::optional<pubsub::Offset> max_offset);
   void NoteFailure(const common::Status& status);
 
   Vfs* vfs_;
@@ -108,7 +108,8 @@ class PartitionJournal {
 
   // Highest message offset appended per wal segment (keyed by the segment's
   // first record index); segments holding only marks have no entry. This is
-  // what decides segment droppability.
+  // what decides segment droppability, so a run that crosses a rotation
+  // updates every segment it touched.
   std::map<std::uint64_t, pubsub::Offset> segment_max_offset_;
   // Replay-time staging for rebuilding segment_max_offset_ (segment
   // boundaries are only known once Open finishes).

@@ -24,6 +24,10 @@ CatchUpSyncer::CatchUpSyncer(sim::Simulator* sim, sim::Network* net, sim::NodeId
       metrics_(metrics),
       options_(std::move(options)) {
   net_->AddNode(node_);
+  if (metrics_ != nullptr) {
+    frames_applied_ = &metrics_->counter("wal.repl.frames_applied");
+    acks_sent_ = &metrics_->counter("wal.repl.acks_sent");
+  }
 }
 
 CatchUpSyncer::~CatchUpSyncer() = default;
@@ -72,7 +76,9 @@ void CatchUpSyncer::SendAck(const std::string& log_id, std::uint64_t next) {
   }
   net_->Send(node_, leader_node_,
              [shipper = leader_, node = node_, log_id, next] { shipper->OnAck(node, log_id, next); });
-  Count("wal.repl.acks_sent");
+  if (acks_sent_ != nullptr) {
+    acks_sent_->Increment();
+  }
 }
 
 void CatchUpSyncer::MaybeRequestCatchUp(const std::string& log_id, LogState* state) {
@@ -92,32 +98,42 @@ void CatchUpSyncer::MaybeRequestCatchUp(const std::string& log_id, LogState* sta
   Count("wal.repl.catch_up_requests");
 }
 
-void CatchUpSyncer::Drain(const std::string& log_id, LogState* state) {
-  while (!state->pending.empty()) {
-    auto it = state->pending.begin();
-    const std::uint64_t next = state->log->next_index();
-    if (it->first < next) {
-      state->pending.erase(it);  // Duplicate delivered by a catch-up stream.
-      continue;
-    }
-    if (it->first > next) {
-      break;  // Still a gap.
-    }
-    auto appended = state->log->Append(it->second);
-    if (!appended.ok()) {
-      NoteFailure(appended.status());
+bool CatchUpSyncer::Apply(LogState* state, std::span<const std::string_view> payloads) {
+  auto appended = state->log->AppendBatch(payloads);
+  if (!appended.ok()) {
+    NoteFailure(appended.status());
+    return false;
+  }
+  if (frames_applied_ != nullptr) {
+    frames_applied_->Increment(static_cast<std::int64_t>(payloads.size()));
+  }
+  return true;
+}
+
+void CatchUpSyncer::Drain(LogState* state) {
+  // Stashed frames the cursor has passed are duplicates a catch-up stream
+  // delivered; the contiguous stretch at the cursor applies as one batch.
+  const std::uint64_t next = state->log->next_index();
+  state->pending.erase(state->pending.begin(), state->pending.lower_bound(next));
+  std::vector<std::string_view> run;
+  auto it = state->pending.begin();
+  for (; it != state->pending.end() && it->first == next + run.size(); ++it) {
+    run.push_back(it->second);
+  }
+  if (!run.empty()) {
+    if (!Apply(state, run)) {
       return;
     }
-    Count("wal.repl.frames_applied");
-    state->pending.erase(it);
+    state->pending.erase(state->pending.begin(), it);
   }
   if (state->pending.empty()) {
     state->last_catch_up_request = -1;  // Gap closed; next gap re-requests at once.
   }
 }
 
-void CatchUpSyncer::OnFrame(const std::string& log_id, std::uint64_t index, std::string payload) {
-  if (crashed_) {
+void CatchUpSyncer::OnFrames(const std::string& log_id, std::uint64_t first_index,
+                             std::vector<std::string> payloads) {
+  if (crashed_ || payloads.empty()) {
     return;
   }
   LogState* state = GetOrOpenLog(log_id);
@@ -125,28 +141,34 @@ void CatchUpSyncer::OnFrame(const std::string& log_id, std::uint64_t index, std:
     return;
   }
   const std::uint64_t next = state->log->next_index();
-  if (index < next) {
+  if (first_index + payloads.size() <= next) {
     // Retransmission (catch-up overlap); re-ack so the leader's accounting
     // converges even if the original ack was dropped.
-    Count("wal.repl.dup_frames");
+    Count("wal.repl.dup_frames", static_cast<std::int64_t>(payloads.size()));
     SendAck(log_id, next);
     return;
   }
-  if (index > next) {
-    Count("wal.repl.frames_stashed");
-    if (state->pending.size() < options_.max_pending_frames) {
-      state->pending.emplace(index, std::move(payload));
+  if (first_index > next) {
+    Count("wal.repl.frames_stashed", static_cast<std::int64_t>(payloads.size()));
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      if (state->pending.size() < options_.max_pending_frames) {
+        state->pending.emplace(first_index + i, std::move(payloads[i]));
+      }
     }
     MaybeRequestCatchUp(log_id, state);
     return;
   }
-  auto appended = state->log->Append(payload);
-  if (!appended.ok()) {
-    NoteFailure(appended.status());
+  // The message covers the cursor: apply the part past it.
+  const std::size_t dup = static_cast<std::size_t>(next - first_index);
+  if (dup > 0) {
+    Count("wal.repl.dup_frames", static_cast<std::int64_t>(dup));
+  }
+  const std::vector<std::string_view> fresh(payloads.begin() + static_cast<std::ptrdiff_t>(dup),
+                                            payloads.end());
+  if (!Apply(state, fresh)) {
     return;
   }
-  Count("wal.repl.frames_applied");
-  Drain(log_id, state);
+  Drain(state);
   SendAck(log_id, state->log->next_index());
 }
 

@@ -2,13 +2,15 @@
 //
 // A follower holds its own copy of every replicated wal::Log under
 // `<root_dir>/<log_id>`. Frames arrive from the leader's WalShipper over the
-// sim network; the frame at exactly the follower's durable cursor (its log's
+// sim network, one message per leader append batch or catch-up burst. The
+// part of a message at or past the follower's durable cursor (its log's
 // next_index — the WAL itself is the replication cursor, there is no separate
-// cursor file to desync) is appended and acked. Out-of-order frames are
-// stashed (bounded) and a catch-up stream is requested from the leader; if
-// the leader's prefix GC has already reclaimed the requested range, the
-// leader answers with a force-resync — a byte-for-byte segment-file snapshot
-// that replaces the follower's copy wholesale.
+// cursor file to desync) is appended as one batch and acked once. A message
+// that starts past the cursor is stashed frame by frame (bounded) and a
+// catch-up stream is requested from the leader; if the leader's prefix GC
+// has already reclaimed the requested range, the leader answers with a
+// force-resync — a byte-for-byte segment-file snapshot that replaces the
+// follower's copy wholesale.
 //
 // Crash()/Restart() model a follower process crash: handles drop, stashes
 // clear, and Restart reopens the logs from the (possibly torn) on-disk state
@@ -26,7 +28,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,7 +64,9 @@ class CatchUpSyncer {
 
   // -- Transport entry points (run as delivered network closures) --------------
 
-  void OnFrame(const std::string& log_id, std::uint64_t index, std::string payload);
+  // Frames first_index, first_index + 1, ... of `log_id`.
+  void OnFrames(const std::string& log_id, std::uint64_t first_index,
+                std::vector<std::string> payloads);
   // Force-resync: replaces the follower's copy of `log_id` with the given
   // (file name, contents) segment snapshot, then reopens and acks.
   void OnResyncFiles(const std::string& log_id,
@@ -101,7 +107,9 @@ class CatchUpSyncer {
   };
 
   LogState* GetOrOpenLog(const std::string& log_id);
-  void Drain(const std::string& log_id, LogState* state);
+  // Appends `payloads` at the cursor as one batch; false on failure.
+  bool Apply(LogState* state, std::span<const std::string_view> payloads);
+  void Drain(LogState* state);
   void SendAck(const std::string& log_id, std::uint64_t next);
   void MaybeRequestCatchUp(const std::string& log_id, LogState* state);
   void NoteFailure(const common::Status& status);
@@ -114,6 +122,9 @@ class CatchUpSyncer {
   std::string root_dir_;
   common::MetricsRegistry* metrics_;
   ReplicationOptions options_;
+  // Counters bumped per message, resolved once (nullptr without metrics).
+  common::Counter* frames_applied_ = nullptr;
+  common::Counter* acks_sent_ = nullptr;
 
   WalShipper* leader_ = nullptr;
   sim::NodeId leader_node_;

@@ -22,6 +22,10 @@ WalShipper::WalShipper(sim::Simulator* sim, sim::Network* net, sim::NodeId node,
       options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
   net_->AddNode(node_);
+  if (metrics_ != nullptr) {
+    frames_shipped_ = &metrics_->counter("wal.repl.frames_shipped");
+    acks_ = &metrics_->counter("wal.repl.acks");
+  }
 }
 
 WalShipper::~WalShipper() {
@@ -37,9 +41,10 @@ void WalShipper::Count(const char* name, std::int64_t delta) {
 
 void WalShipper::Track(const std::string& log_id, Log* log) {
   logs_[log_id] = log;
-  log->set_append_observer([this, log_id](std::uint64_t index, std::string_view payload) {
-    ShipFrame(log_id, index, payload);
-  });
+  log->set_append_observer(
+      [this, log_id](std::uint64_t first_index, std::span<const std::string_view> payloads) {
+        ShipRun(log_id, first_index, payloads);
+      });
   for (auto& [node, follower] : followers_) {
     SyncLog(&follower, log_id, log);
   }
@@ -86,23 +91,27 @@ void WalShipper::SyncLog(FollowerState* follower, const std::string& log_id, Log
   }
 }
 
-void WalShipper::ShipFrame(const std::string& log_id, std::uint64_t index,
-                           std::string_view payload) {
+void WalShipper::ShipRun(const std::string& log_id, std::uint64_t first_index,
+                         std::span<const std::string_view> payloads) {
   for (auto& [node, follower] : followers_) {
     if (streams_.count({node, log_id}) > 0) {
-      continue;  // The open stream's reader will reach this frame in order.
+      continue;  // The open stream's reader will reach these frames in order.
     }
-    SendFrame(follower.syncer, log_id, index, std::string(payload));
+    SendRun(follower.syncer, log_id, first_index,
+            std::vector<std::string>(payloads.begin(), payloads.end()));
   }
 }
 
-void WalShipper::SendFrame(CatchUpSyncer* follower, const std::string& log_id,
-                           std::uint64_t index, std::string payload) {
+void WalShipper::SendRun(CatchUpSyncer* follower, const std::string& log_id,
+                         std::uint64_t first_index, std::vector<std::string> payloads) {
+  const auto frames = static_cast<std::int64_t>(payloads.size());
   net_->Send(node_, follower->node(),
-             [follower, log_id, index, p = std::move(payload)]() mutable {
-               follower->OnFrame(log_id, index, std::move(p));
+             [follower, log_id, first_index, p = std::move(payloads)]() mutable {
+               follower->OnFrames(log_id, first_index, std::move(p));
              });
-  Count("wal.repl.frames_shipped");
+  if (frames_shipped_ != nullptr) {
+    frames_shipped_->Increment(frames);
+  }
 }
 
 void WalShipper::StartStream(const sim::NodeId& follower, const std::string& log_id, Log* log,
@@ -127,22 +136,31 @@ void WalShipper::PumpStream(const sim::NodeId& follower, const std::string& log_
     streams_.erase(it);
     return;
   }
+  // One burst: up to catch_up_batch frames, shipped as one message.
+  CatchUpSyncer* syncer = fit->second.syncer;
+  const std::uint64_t first_index = it->second.reader->next_index();
+  std::vector<std::string> burst;
   std::uint64_t index = 0;
   std::string payload;
-  for (std::size_t i = 0; i < options_.catch_up_batch; ++i) {
+  while (burst.size() < options_.catch_up_batch) {
     auto more = it->second.reader->Next(&index, &payload);
-    if (!more.ok()) {
-      // kNotFound: the cursor fell below the retained prefix (opened out of
-      // band). Recover loudly with a snapshot rather than skipping records.
+    if (!more.ok() || !more.value()) {
       streams_.erase(it);
-      ForceResync(fit->second.syncer, log_id, lit->second);
-      return;
+      if (!burst.empty()) {
+        SendRun(syncer, log_id, first_index, std::move(burst));
+      }
+      if (!more.ok()) {
+        // kNotFound: the cursor fell below the retained prefix (opened out
+        // of band). Recover loudly with a snapshot rather than skipping
+        // records.
+        ForceResync(syncer, log_id, lit->second);
+      }
+      return;  // Caught up: the live tail takes over from here.
     }
-    if (!more.value()) {
-      streams_.erase(it);  // Caught up; live tail takes over from here.
-      return;
-    }
-    SendFrame(fit->second.syncer, log_id, index, std::move(payload));
+    burst.push_back(std::move(payload));
+  }
+  if (!burst.empty()) {
+    SendRun(syncer, log_id, first_index, std::move(burst));
   }
   sim_->After(kStreamBurstGapMicros, [this, alive = alive_, follower, log_id] {
     if (*alive) {
@@ -176,7 +194,9 @@ void WalShipper::OnAck(const sim::NodeId& follower, const std::string& log_id,
   }
   std::uint64_t& acked = it->second.acked[log_id];
   acked = std::max(acked, next);
-  Count("wal.repl.acks");
+  if (acks_ != nullptr) {
+    acks_->Increment();
+  }
 }
 
 void WalShipper::OnCatchUpRequest(const sim::NodeId& follower, const std::string& log_id,

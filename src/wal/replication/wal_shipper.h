@@ -1,19 +1,19 @@
 // WalShipper: the leader half of WAL replication.
 //
 // Track() attaches the shipper to a leader wal::Log via its append observer,
-// so every durable append is immediately shipped — as a (log_id, index,
-// payload) frame — to each registered follower over the sim network. A
+// so every durable append batch is immediately shipped — as one (log_id,
+// first index, payloads) message per follower — over the sim network. A
 // follower that falls behind (joined late, restarted, dropped frames across
 // a partition) requests a catch-up stream: the shipper opens a pinned
 // LogReader at the follower's cursor (pinning is what keeps prefix GC from
-// reclaiming the segment mid-stream) and pumps bounded bursts of frames
-// until the reader reaches the log's end, at which point live-tail shipping
-// resumes seamlessly. If the requested cursor is already below the leader's
+// reclaiming the segment mid-stream) and pumps bounded bursts of frames, one
+// message per burst, until the reader reaches the log's end, at which point
+// live-tail shipping resumes seamlessly. If the requested cursor is already below the leader's
 // oldest retained record — GC outran the follower — the shipper answers with
 // a force-resync snapshot of the whole segment directory instead.
 //
-// Ack accounting: followers ack their durable cursor after each applied
-// frame. QuorumAckedNext() reports the highest index durable on a majority
+// Ack accounting: followers ack their durable cursor once per applied
+// message. QuorumAckedNext() reports the highest index durable on a majority
 // of the replication_factor copies (leader included) — the prefix a
 // quorum-mode failover must preserve. Acks are accounting only; the leader
 // never blocks an append on them (publishes stay fire-and-forget, matching
@@ -29,7 +29,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -97,9 +99,10 @@ class WalShipper {
     std::unique_ptr<LogReader> reader;  // Pins leader segments while open.
   };
 
-  void ShipFrame(const std::string& log_id, std::uint64_t index, std::string_view payload);
-  void SendFrame(CatchUpSyncer* follower, const std::string& log_id, std::uint64_t index,
-                 std::string payload);
+  void ShipRun(const std::string& log_id, std::uint64_t first_index,
+               std::span<const std::string_view> payloads);
+  void SendRun(CatchUpSyncer* follower, const std::string& log_id, std::uint64_t first_index,
+               std::vector<std::string> payloads);
   void SyncLog(FollowerState* follower, const std::string& log_id, Log* log);
   void StartStream(const sim::NodeId& follower, const std::string& log_id, Log* log,
                    std::uint64_t from);
@@ -112,6 +115,9 @@ class WalShipper {
   sim::NodeId node_;
   common::MetricsRegistry* metrics_;
   ReplicationOptions options_;
+  // Counters bumped per message, resolved once (nullptr without metrics).
+  common::Counter* frames_shipped_ = nullptr;
+  common::Counter* acks_ = nullptr;
 
   std::map<std::string, Log*> logs_;
   std::map<sim::NodeId, FollowerState> followers_;

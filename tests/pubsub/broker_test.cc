@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -70,28 +73,45 @@ TEST_F(BrokerTest, FetchRoundTrip) {
   EXPECT_EQ(broker_.Fetch("t", 5, 0, 1).status().code(), common::StatusCode::kInvalidArgument);
 }
 
-TEST_F(BrokerTest, PublishSpanMatchesPublish) {
+TEST_F(BrokerTest, PublishRunMatchesPublish) {
   Broker got(&sim_, &net_, "got");
   ASSERT_TRUE(broker_.CreateTopic("t", {.partitions = 4}).ok());
   ASSERT_TRUE(got.CreateTopic("t", {.partitions = 4}).ok());
 
+  // Route 50 records one at a time, then stage the same bytes as views and
+  // append them as one run per partition, in the same order.
   const Headers headers = {{"content-type", "test"}};
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  std::map<PartitionId, std::vector<std::pair<int, Offset>>> routed;
   for (int i = 0; i < 50; ++i) {
-    const std::string key = i % 3 == 0 ? "" : "user-" + std::to_string(i % 7);
-    const std::string value = "v" + std::to_string(i);
-    const auto want = broker_.Publish("t", Message{key, value, 0, i % 2 ? headers : Headers{}});
-    const auto have = got.PublishSpan("t", key, value, i % 2 ? &headers : nullptr);
+    keys.push_back(i % 3 == 0 ? "" : "user-" + std::to_string(i % 7));
+    values.push_back("v" + std::to_string(i));
+    const auto want =
+        broker_.Publish("t", Message{keys.back(), values.back(), 0, i % 2 ? headers : Headers{}});
     ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(have.ok());
-    // Same routing (key hash / round robin) and same assigned offset...
-    EXPECT_EQ(have->partition, want->partition) << "message " << i;
-    EXPECT_EQ(have->offset, want->offset) << "message " << i;
+    routed[want->partition].emplace_back(i, want->offset);
   }
-  // ...and byte-identical logs: PublishSpan owns its copy at append time, so
+  for (const auto& [p, records] : routed) {
+    std::vector<RecordView> run;
+    for (const auto& [i, offset] : records) {
+      run.push_back(RecordView{keys[i], values[i], i % 2 ? &headers : nullptr});
+    }
+    const auto have = got.PublishRun("t", p, run);
+    ASSERT_TRUE(have.ok());
+    EXPECT_EQ(have->partition, p);
+    // Same assigned offsets: the run starts where the single publishes did.
+    EXPECT_EQ(have->offset, records.front().second) << "partition " << p;
+  }
+  // ...and byte-identical logs: PublishRun owns its copy at append time, so
   // the borrowed-view input leaves no aliasing behind.
+  keys.assign(keys.size(), "overwritten");
+  values.assign(values.size(), "overwritten");
   for (PartitionId p = 0; p < 4; ++p) {
     EXPECT_EQ(got.Log("t", p)->entries(), broker_.Log("t", p)->entries()) << "partition " << p;
   }
+  EXPECT_EQ(got.PublishRun("missing", 0, {}).status().code(), common::StatusCode::kNotFound);
+  EXPECT_EQ(got.PublishRun("t", 4, {}).status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST_F(BrokerTest, PublishStampsSimTime) {

@@ -11,6 +11,10 @@
 // "Acked" follows the journal's durability discipline: an op counts as acked
 // only if the sticky journal status was still OK after it (sync_every_append
 // means the record hit stable storage before the status was read).
+//
+// The run variant publishes runs of 1-8 records through Broker::PublishRun,
+// each journaled as one wal batch: a crash that tears a run's write must
+// recover to the run's whole frames, and every acked run must survive.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,6 +44,7 @@ constexpr std::uint64_t kCapB = 8;
 constexpr char kGroup[] = "g";
 constexpr int kOps = 40;
 constexpr std::uint64_t kSeeds = 25;
+constexpr std::uint64_t kMaxRun = 8;  // Longest run the run variant publishes.
 
 struct Stack {
   sim::Simulator sim;
@@ -61,11 +66,13 @@ struct RunLog {
   std::map<pubsub::PartitionId, pubsub::Offset> commits;   // Durable commits (topic A).
 };
 
-// Runs the seeded workload. The op stream is a pure function of `seed`; a
-// crash only truncates it (ops stop once the vfs is down), so the fault-free
-// run is the reference for every crash point of the same seed.
+// Runs the seeded workload. The op stream is a pure function of `seed` and
+// `max_run`; a crash only truncates it (ops stop once the vfs is down), so
+// the fault-free run is the reference for every crash point of the same
+// seed. With max_run 1 every publish is a single Broker::Publish; otherwise
+// each publish op appends a run of 1..max_run records with PublishRun.
 RunLog RunWorkload(std::uint64_t seed, FaultVfs* vfs, pubsub::Broker* broker,
-                   BrokerJournal* journal) {
+                   BrokerJournal* journal, std::uint64_t max_run = 1) {
   RunLog out;
   pubsub::TopicConfig config_a;
   config_a.partitions = 2;
@@ -87,14 +94,33 @@ RunLog RunWorkload(std::uint64_t seed, FaultVfs* vfs, pubsub::Broker* broker,
       const std::string topic = to_a ? kTopicA : kTopicB;
       const pubsub::PartitionId partition =
           to_a ? static_cast<pubsub::PartitionId>(rng.Below(2)) : 0;
-      pubsub::Message msg;
-      msg.key = "k" + std::to_string(i % 5);
-      msg.value = "s" + std::to_string(seed) + "-op" + std::to_string(i);
       // The broker stamps publish_time with its sim clock (0 throughout these
       // runs), so the recorded reference message must carry the stamped value.
-      auto result = broker->Publish(topic, msg, partition);
+      if (max_run == 1) {
+        pubsub::Message msg;
+        msg.key = "k" + std::to_string(i % 5);
+        msg.value = "s" + std::to_string(seed) + "-op" + std::to_string(i);
+        auto result = broker->Publish(topic, msg, partition);
+        if (result.ok() && journal->status().ok()) {
+          out.acked.push_back(AckedPublish{topic, result->partition, result->offset, msg});
+        }
+        continue;
+      }
+      std::vector<pubsub::Message> run(rng.Below(max_run) + 1);
+      std::vector<pubsub::RecordView> views;
+      for (std::size_t r = 0; r < run.size(); ++r) {
+        run[r].key = "k" + std::to_string((i + r) % 5);
+        run[r].value = "s" + std::to_string(seed) + "-op" + std::to_string(i) + "-" +
+                       std::to_string(r);
+      }
+      for (const pubsub::Message& msg : run) {
+        views.push_back(pubsub::RecordView{msg.key, msg.value, nullptr});
+      }
+      auto result = broker->PublishRun(topic, partition, views);
       if (result.ok() && journal->status().ok()) {
-        out.acked.push_back(AckedPublish{topic, result->partition, result->offset, msg});
+        for (std::size_t r = 0; r < run.size(); ++r) {
+          out.acked.push_back(AckedPublish{topic, result->partition, result->offset + r, run[r]});
+        }
       }
     } else if (created_a) {
       const pubsub::PartitionId p = static_cast<pubsub::PartitionId>(rng.Below(2));
@@ -124,8 +150,10 @@ Streams StreamsOf(const RunLog& run) {
 }
 
 // Asserts that `broker`'s recovered state is a prefix of the reference
-// streams, with topic B's size cap applied to its prefix.
-void ExpectPrefixOfReference(pubsub::Broker* broker, const Streams& reference) {
+// streams, with topic B's size cap applied to its prefix. `max_run` is the
+// longest run the workload published.
+void ExpectPrefixOfReference(pubsub::Broker* broker, const Streams& reference,
+                             std::uint64_t max_run = 1) {
   for (const auto& [key, stream] : reference) {
     const auto& [topic, partition] = key;
     if (!broker->HasTopic(topic)) {
@@ -137,14 +165,15 @@ void ExpectPrefixOfReference(pubsub::Broker* broker, const Streams& reference) {
     ASSERT_LE(end, stream.size()) << topic << "/" << partition << ": recovered past reference";
 
     // Expected retained window for this end offset: everything for topic A,
-    // the last kCapB messages for the size-capped topic B. The cap's trim
-    // record is journaled right after the append that triggered it, so a
-    // crash between the two can durably keep one excess message at the head
-    // (re-trimmed by the next live append) — hence the one-message slack.
+    // the last kCapB messages for the size-capped topic B. The cap trims once
+    // per run, and its trim record is journaled right after the run's batch,
+    // so a crash between the two durably keeps the run's excess at the head
+    // (re-trimmed by the next live append): up to one message per record of
+    // the run, which is the old one-message slack plus max_run - 1.
     const pubsub::Offset cap_first = topic == kTopicB && end > kCapB ? end - kCapB : 0;
     const pubsub::Offset first = log->first_offset();
     ASSERT_LE(first, cap_first) << topic << "/" << partition;
-    ASSERT_GE(first + 1, cap_first) << topic << "/" << partition;
+    ASSERT_GE(first + max_run, cap_first) << topic << "/" << partition;
     if (topic != kTopicB) {
       ASSERT_EQ(first, 0u) << topic << "/" << partition;
     }
@@ -179,8 +208,10 @@ void ExpectAckedSurvived(pubsub::Broker* broker, const RunLog& run) {
   }
 }
 
-TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix) {
-  std::uint64_t total_crash_points = 0;
+// Crashes the seeded workload at every vfs append index and checks the
+// recovered stack against the fault-free reference, counting the crash
+// points swept into `*total_crash_points`.
+void SweepCrashPoints(std::uint64_t max_run, std::uint64_t* total_crash_points) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
 
@@ -194,7 +225,7 @@ TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix
       auto journal =
           BrokerJournal::Open(&ref_vfs, "wal", BrokerJournalOptions{}, nullptr, &stack.broker);
       ASSERT_TRUE(journal.ok());
-      reference = RunWorkload(seed, &ref_vfs, &stack.broker, journal->get());
+      reference = RunWorkload(seed, &ref_vfs, &stack.broker, journal->get(), max_run);
       ASSERT_TRUE((*journal)->status().ok());
     }
     const std::uint64_t writes = ref_vfs.append_calls();
@@ -203,7 +234,7 @@ TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix
 
     for (std::uint64_t crash_at = 0; crash_at < writes; ++crash_at) {
       SCOPED_TRACE("crash at append " + std::to_string(crash_at));
-      ++total_crash_points;
+      ++*total_crash_points;
 
       FaultOptions fault;
       fault.seed = seed;
@@ -217,7 +248,7 @@ TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix
         auto journal =
             BrokerJournal::Open(&vfs, "wal", BrokerJournalOptions{}, nullptr, &stack.broker);
         ASSERT_TRUE(journal.ok());
-        acked = RunWorkload(seed, &vfs, &stack.broker, journal->get());
+        acked = RunWorkload(seed, &vfs, &stack.broker, journal->get(), max_run);
       }
       ASSERT_TRUE(vfs.crashed());
       vfs.Restart();
@@ -232,12 +263,12 @@ TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix
       ASSERT_EQ(metrics.counter("wal.recovery.rejected_segments").value(), 0)
           << "sealed segment rejected after a plain crash";
 
-      ExpectPrefixOfReference(&stack.broker, streams);
-      if (HasFatalFailure()) {
+      ExpectPrefixOfReference(&stack.broker, streams, max_run);
+      if (::testing::Test::HasFatalFailure()) {
         return;
       }
       ExpectAckedSurvived(&stack.broker, acked);
-      if (HasFatalFailure()) {
+      if (::testing::Test::HasFatalFailure()) {
         return;
       }
 
@@ -249,9 +280,29 @@ TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix
       ASSERT_TRUE(oracle.ok()) << oracle.Report();
     }
   }
+}
+
+TEST(WalCrashRecoverySweepTest, EveryCrashPointRecoversToAnAckedConsistentPrefix) {
+  std::uint64_t total_crash_points = 0;
+  SweepCrashPoints(1, &total_crash_points);
+  if (HasFatalFailure()) {
+    return;
+  }
   // ~25 seeds x every write index: make sure the sweep actually swept.
   EXPECT_GT(total_crash_points, 500u);
   std::printf("[ sweep    ] %llu crash points across %llu seeds, all recovered clean\n",
+              static_cast<unsigned long long>(total_crash_points),
+              static_cast<unsigned long long>(kSeeds));
+}
+
+TEST(WalCrashRecoverySweepTest, EveryCrashPointInARunRecoversWholeFrames) {
+  std::uint64_t total_crash_points = 0;
+  SweepCrashPoints(kMaxRun, &total_crash_points);
+  if (HasFatalFailure()) {
+    return;
+  }
+  EXPECT_GT(total_crash_points, 500u);
+  std::printf("[ sweep    ] %llu run crash points across %llu seeds, all recovered clean\n",
               static_cast<unsigned long long>(total_crash_points),
               static_cast<unsigned long long>(kSeeds));
 }

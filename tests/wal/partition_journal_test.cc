@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "pubsub/log.h"
 #include "pubsub/types.h"
 #include "wal/fault_vfs.h"
@@ -112,7 +113,9 @@ TEST(PartitionJournalTest, RetentionCallbackReportsExactEvents) {
   log.set_retention_callback([&](const pubsub::RetentionEvent& e) { events.push_back(e); });
 
   std::vector<pubsub::StoredMessage> appended;
-  log.set_append_callback([&](const pubsub::StoredMessage& m) { appended.push_back(m); });
+  log.set_append_callback([&](pubsub::PartitionLog::Run run) {
+    appended.insert(appended.end(), run.begin(), run.end());
+  });
 
   for (int i = 0; i < 5; ++i) {
     log.Append(Msg("k" + std::to_string(i), "v", 10 * i));
@@ -195,6 +198,55 @@ TEST(PartitionJournalTest, SegmentGcDropsSealedPrefixAndRecoveryStaysExact) {
   ASSERT_TRUE(journal2.ok()) << journal2.status().message();
   ExpectSameState(recovered2, recovered);
   ExpectConservation(recovered2);
+}
+
+// A run is journaled as one wal batch, and a batch can cross segment
+// rotations. Each segment the run touched must be credited with the highest
+// offset the run left in it: crediting only the active segment lets
+// GcSegments drop a sealed segment that still holds retained records of the
+// run, and the reopen below then fails its snapshot check.
+TEST(PartitionJournalTest, RunsAcrossRotationsKeepRetainedSegments) {
+  FaultVfs vfs;
+  common::MetricsRegistry metrics;
+  PartitionJournalOptions options;
+  options.log.segment_bytes = 160;  // About three append records per segment.
+  pubsub::RetentionPolicy policy;
+  policy.max_messages = 6;
+  pubsub::PartitionLog original(policy);
+  auto journal = PartitionJournal::Open(&vfs, "p0", options, &metrics, &original);
+  ASSERT_TRUE(journal.ok());
+
+  common::Rng rng(11);
+  int n = 0;
+  int crossing_runs = 0;
+  for (int round = 0; round < 80; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<pubsub::Message> run(rng.Below(8) + 1);
+    for (pubsub::Message& m : run) {
+      m = Msg("k" + std::to_string(n), "v" + std::to_string(n), n);
+      ++n;
+    }
+    const std::uint64_t first_index = (*journal)->wal_log().next_index();
+    const std::uint64_t end_index = first_index + run.size();
+    original.AppendRun(run);
+    ASSERT_TRUE((*journal)->status().ok());
+    for (const SegmentInfo& seg : (*journal)->wal_log().Segments(first_index)) {
+      if (seg.first_index > first_index && seg.first_index < end_index) {
+        ++crossing_runs;  // This run's batch opened a segment mid-run.
+        break;
+      }
+    }
+
+    // Reopen from the files as they stand: exactly the retained records, at
+    // their offsets, come back.
+    pubsub::PartitionLog recovered(policy);
+    auto reopened = PartitionJournal::Open(&vfs, "p0", options, nullptr, &recovered);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    ExpectSameState(recovered, original);
+    ExpectConservation(recovered);
+  }
+  EXPECT_GT(crossing_runs, 10);
+  EXPECT_GT(metrics.counter("wal.gc.segments_dropped").value(), 10);
 }
 
 // Satellite regression: the oracle's offset-conservation invariant must hold

@@ -9,10 +9,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "oracle/invariant_oracle.h"
 #include "pubsub/broker.h"
@@ -44,6 +46,7 @@ class WalReplicationTest : public ::testing::Test {
   ReplicationOptions Options(std::size_t factor) {
     ReplicationOptions options;
     options.replication_factor = factor;
+    options.max_pending_frames = max_pending_frames_;
     options.log_options = [this](const std::string&) { return log_options_; };
     return options;
   }
@@ -70,12 +73,25 @@ class WalReplicationTest : public ::testing::Test {
     }
   }
 
+  // Appends the next `n` records ("r<i>", like AppendN) as one batch.
+  void AppendRun(std::size_t n) {
+    std::vector<std::string> payloads;
+    for (std::size_t i = 0; i < n; ++i) {
+      payloads.push_back("r" + std::to_string(appended_++));
+    }
+    const std::vector<std::string_view> views(payloads.begin(), payloads.end());
+    ASSERT_TRUE(leader_log_->AppendBatch(views).ok());
+  }
+
+  std::int64_t Counter(const char* name) { return metrics_.counter(name).value(); }
+
   void Settle() { sim_.RunUntil(sim_.Now() + 1 * kSec); }
 
   sim::Simulator sim_{17};
   sim::Network net_;
   common::MetricsRegistry metrics_;
   LogOptions log_options_;
+  std::size_t max_pending_frames_ = ReplicationOptions{}.max_pending_frames;
 
   FaultVfs leader_vfs_;
   std::unique_ptr<Log> leader_log_;
@@ -96,6 +112,169 @@ TEST_F(WalReplicationTest, LiveTailShipsEveryAppendAndAcksBack) {
   EXPECT_EQ(shipper_->QuorumAckedNext("log"), 20u);  // RF 2: quorum is the pair.
   EXPECT_GE(metrics_.counter("wal.repl.frames_shipped").value(), 20);
   EXPECT_GE(metrics_.counter("wal.repl.frames_applied").value(), 20);
+}
+
+TEST_F(WalReplicationTest, EachRunShipsAsOneMessageAndIsAckedOnce) {
+  log_options_.segment_bytes = 96;  // Runs cross rotations on both sides.
+  OpenLeader();
+  CatchUpSyncer* f = AddFollower("f1");
+  shipper_->Track("log", leader_log_.get());
+
+  const std::vector<std::size_t> runs = {1, 3, 8, 2, 5, 1, 7, 4};
+  std::size_t records = 0;
+  for (const std::size_t n : runs) {
+    AppendRun(n);
+    records += n;
+    Settle();  // One run in flight at a time, so none arrives out of order.
+  }
+  EXPECT_EQ(f->DurableNextIndex("log"), records);
+  EXPECT_EQ(Counter("wal.repl.frames_shipped"), static_cast<std::int64_t>(records));
+  EXPECT_EQ(Counter("wal.repl.frames_applied"), static_cast<std::int64_t>(records));
+  EXPECT_EQ(Counter("wal.repl.acks_sent"), static_cast<std::int64_t>(runs.size()));
+  EXPECT_EQ(Counter("wal.repl.acks"), static_cast<std::int64_t>(runs.size()));
+  EXPECT_EQ(shipper_->QuorumAckedNext("log"), records);
+  // The follower applied each run as one batch and rotated where the leader
+  // did: every segment file is byte-identical.
+  for (const SegmentInfo& seg : leader_log_->Segments()) {
+    const std::string name = Log::SegmentFileName(seg.first_index);
+    std::string* leader_seg = leader_vfs_.MutableContents("leader/log/" + name);
+    std::string* follower_seg = followers_vfs_[0]->MutableContents("f1/log/" + name);
+    ASSERT_NE(leader_seg, nullptr) << name;
+    ASSERT_NE(follower_seg, nullptr) << name;
+    EXPECT_EQ(*leader_seg, *follower_seg) << name;
+  }
+  EXPECT_GT(leader_log_->Segments().size(), 3u);
+}
+
+TEST_F(WalReplicationTest, BatchWhollyBelowCursorCountsDupsAndReacks) {
+  OpenLeader();
+  CatchUpSyncer* f = AddFollower("f1");
+  shipper_->Track("log", leader_log_.get());
+  AppendRun(10);
+  Settle();
+  ASSERT_EQ(f->DurableNextIndex("log"), 10u);
+  const std::int64_t applied = Counter("wal.repl.frames_applied");
+  const std::int64_t acks = Counter("wal.repl.acks_sent");
+
+  f->OnFrames("log", 2, {"r2", "r3", "r4"});
+  EXPECT_EQ(f->DurableNextIndex("log"), 10u);
+  EXPECT_EQ(Counter("wal.repl.dup_frames"), 3);
+  EXPECT_EQ(Counter("wal.repl.frames_applied"), applied);
+  EXPECT_EQ(Counter("wal.repl.acks_sent"), acks + 1);
+}
+
+TEST_F(WalReplicationTest, BatchStraddlingCursorAppliesOnlyThePartPastIt) {
+  OpenLeader();
+  CatchUpSyncer* f = AddFollower("f1");
+  shipper_->Track("log", leader_log_.get());
+  AppendRun(10);
+  Settle();
+  ASSERT_EQ(f->DurableNextIndex("log"), 10u);
+  net_.Partition("leader", "f1");
+  AppendRun(4);  // 10..13, lost to the partition.
+  Settle();
+  ASSERT_EQ(f->DurableNextIndex("log"), 10u);
+  const std::int64_t applied = Counter("wal.repl.frames_applied");
+  const std::int64_t acks = Counter("wal.repl.acks_sent");
+
+  // A retransmitted burst covering 8..13: 8 and 9 are duplicates.
+  f->OnFrames("log", 8, {"r8", "r9", "r10", "r11", "r12", "r13"});
+  EXPECT_EQ(f->DurableNextIndex("log"), 14u);
+  EXPECT_EQ(Counter("wal.repl.dup_frames"), 2);
+  EXPECT_EQ(Counter("wal.repl.frames_applied"), applied + 4);
+  EXPECT_EQ(Counter("wal.repl.acks_sent"), acks + 1);
+
+  // The follower's copy equals the leader's, byte for byte.
+  const std::string name = Log::SegmentFileName(0);
+  std::string* leader_seg = leader_vfs_.MutableContents("leader/log/" + name);
+  std::string* follower_seg = followers_vfs_[0]->MutableContents("f1/log/" + name);
+  ASSERT_NE(leader_seg, nullptr);
+  ASSERT_NE(follower_seg, nullptr);
+  EXPECT_EQ(*leader_seg, *follower_seg);
+}
+
+TEST_F(WalReplicationTest, BatchAboveCursorIsStashedWithinBoundAndRequestsCatchUpOnce) {
+  max_pending_frames_ = 4;
+  OpenLeader();
+  CatchUpSyncer* f = AddFollower("f1");
+  shipper_->Track("log", leader_log_.get());
+  AppendRun(10);
+  Settle();
+  ASSERT_EQ(f->DurableNextIndex("log"), 10u);
+  // Keep the leader's catch-up stream out of the way: the request is counted
+  // when sent and dropped by the partition.
+  net_.Partition("leader", "f1");
+  const std::int64_t requests = Counter("wal.repl.catch_up_requests");
+  const std::int64_t acks = Counter("wal.repl.acks_sent");
+
+  f->OnFrames("log", 12, {"r12", "r13", "r14", "r15", "r16", "r17"});
+  f->OnFrames("log", 18, {"r18", "r19"});  // Inside the retry window: no new request.
+  EXPECT_EQ(f->DurableNextIndex("log"), 10u);
+  EXPECT_EQ(Counter("wal.repl.frames_stashed"), 8);
+  EXPECT_EQ(Counter("wal.repl.catch_up_requests"), requests + 1);
+  EXPECT_EQ(Counter("wal.repl.acks_sent"), acks);
+
+  // Filling the gap drains the stash: only 12..15 fit in the bound of 4, so
+  // the cursor stops at 16, and the whole advance is acked once.
+  f->OnFrames("log", 10, {"r10", "r11"});
+  EXPECT_EQ(f->DurableNextIndex("log"), 16u);
+  EXPECT_EQ(Counter("wal.repl.acks_sent"), acks + 1);
+}
+
+TEST(WalReplicationFaultTest, RunWhoseSyncFailsIsNeverShippedAndCatchUpClosesTheGap) {
+  sim::Simulator sim(23);
+  sim::Network net(&sim, {.base = 200, .jitter = 300});
+  common::MetricsRegistry metrics;
+  FaultOptions faults;
+  faults.seed = 5;
+  faults.fail_sync_prob = 0.3;
+  FaultVfs leader_vfs(faults);
+  FaultVfs follower_vfs;
+  auto log = Log::Open(&leader_vfs, "leader/log", LogOptions{}, &metrics, NoopReplay);
+  ASSERT_TRUE(log.ok());
+  ReplicationOptions options;
+  options.replication_factor = 2;
+  WalShipper shipper(&sim, &net, "leader", &metrics, options);
+  CatchUpSyncer follower(&sim, &net, "f1", &follower_vfs, "f1", &metrics, options);
+  shipper.AddFollower(&follower);
+  shipper.Track("log", log->get());
+
+  common::Rng rng(3);
+  int failed_runs = 0;
+  int record = 0;
+  bool last_ok = false;
+  while (failed_runs < 5 || !last_ok) {
+    std::vector<std::string> payloads(rng.Below(8) + 1);
+    for (std::string& p : payloads) {
+      p = "r" + std::to_string(record++);
+    }
+    const std::vector<std::string_view> views(payloads.begin(), payloads.end());
+    const std::int64_t shipped = metrics.counter("wal.repl.frames_shipped").value();
+    last_ok = (*log)->AppendBatch(views).ok();
+    if (last_ok) {
+      EXPECT_EQ(metrics.counter("wal.repl.frames_shipped").value(),
+                shipped + static_cast<std::int64_t>(payloads.size()));
+    } else {
+      ++failed_runs;
+      // Written but not durable: the frames stay in the leader's log, and
+      // none of them is shipped.
+      EXPECT_EQ(metrics.counter("wal.repl.frames_shipped").value(), shipped);
+    }
+    sim.RunUntil(sim.Now() + 50 * kMs);
+  }
+  sim.RunUntil(sim.Now() + 1 * kSec);
+  // The follower saw the gap behind each unshipped run and closed it through
+  // the catch-up stream, which reads the leader's log.
+  EXPECT_EQ(follower.DurableNextIndex("log"), (*log)->next_index());
+  EXPECT_GE(metrics.counter("wal.repl.catch_up_requests").value(), 1);
+  EXPECT_GE(metrics.counter("wal.repl.streams_opened").value(), 1);
+  EXPECT_TRUE(follower.status().ok()) << follower.status().ToString();
+  const std::string name = Log::SegmentFileName(0);
+  std::string* leader_seg = leader_vfs.MutableContents("leader/log/" + name);
+  std::string* follower_seg = follower_vfs.MutableContents("f1/log/" + name);
+  ASSERT_NE(leader_seg, nullptr);
+  ASSERT_NE(follower_seg, nullptr);
+  EXPECT_EQ(*leader_seg, *follower_seg);
 }
 
 TEST_F(WalReplicationTest, LateJoinerCatchesUpViaStream) {
