@@ -282,6 +282,21 @@ common::Status Client::Call(net::Verb verb, std::uint64_t request_id, const std:
   return common::Status::Ok();
 }
 
+common::Status Client::CallThroughBackpressure(net::Verb verb, const std::string& payload,
+                                              std::string* response) {
+  for (std::size_t attempt = 0;; ++attempt) {
+    common::TimeMicros retry_after = 0;
+    const common::Status st = Call(verb, NextId(), payload, response, &retry_after);
+    // The server's retry_after is the owner shard's saturation hint: sleep
+    // it verbatim and retry — the loud-backpressure loop, client side.
+    if (st.code() != common::StatusCode::kUnavailable || retry_after <= 0 ||
+        attempt >= options_.max_backpressure_retries) {
+      return st;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(retry_after));
+  }
+}
+
 common::Status Client::CreateTopic(const std::string& topic, const pubsub::TopicConfig& config) {
   net::CreateTopicRequest req;
   req.topic = topic;
@@ -314,31 +329,18 @@ common::Status Client::Publish(const std::string& topic, common::Key key, common
   if (ack == net::PublishAck::kNone) {
     return WriteFrame(net::Verb::kPublish, NextId(), payload);
   }
-  for (std::size_t attempt = 0;; ++attempt) {
-    std::string response;
-    common::TimeMicros retry_after = 0;
-    const std::uint64_t rid = NextId();
-    const common::Status st = Call(net::Verb::kPublish, rid, payload, &response, &retry_after);
-    if (st.ok()) {
-      if (result != nullptr) {
-        net::PublishResponse resp;
-        if (!net::Decode(response, &resp)) {
-          MarkBroken("malformed PUBLISH response");
-          return BrokenStatus();
-        }
-        result->partition = resp.partition;
-        result->offset = resp.offset;
-      }
-      return st;
+  std::string response;
+  RETURN_IF_ERROR(CallThroughBackpressure(net::Verb::kPublish, payload, &response));
+  if (result != nullptr) {
+    net::PublishResponse resp;
+    if (!net::Decode(response, &resp)) {
+      MarkBroken("malformed PUBLISH response");
+      return BrokenStatus();
     }
-    // The server's retry_after is the owner shard's saturation hint: sleep
-    // it verbatim and retry — the loud-backpressure loop, client side.
-    if (st.code() != common::StatusCode::kUnavailable || retry_after <= 0 ||
-        attempt >= options_.max_backpressure_retries) {
-      return st;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(retry_after));
+    result->partition = resp.partition;
+    result->offset = resp.offset;
   }
+  return common::Status::Ok();
 }
 
 common::Result<std::vector<pubsub::StoredMessage>> Client::Fetch(const std::string& topic,
@@ -352,24 +354,14 @@ common::Result<std::vector<pubsub::StoredMessage>> Client::Fetch(const std::stri
   req.max = max;
   std::string payload;
   net::Encode(req, &payload);
-  for (std::size_t attempt = 0;; ++attempt) {
-    std::string response;
-    common::TimeMicros retry_after = 0;
-    const common::Status st = Call(net::Verb::kFetch, NextId(), payload, &response, &retry_after);
-    if (st.ok()) {
-      net::MessageBatch batch;
-      if (!net::Decode(response, &batch, wire_version_)) {
-        MarkBroken("malformed FETCH response");
-        return BrokenStatus();
-      }
-      return std::move(batch.messages);
-    }
-    if (st.code() != common::StatusCode::kUnavailable || retry_after <= 0 ||
-        attempt >= options_.max_backpressure_retries) {
-      return st;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(retry_after));
+  std::string response;
+  RETURN_IF_ERROR(CallThroughBackpressure(net::Verb::kFetch, payload, &response));
+  net::MessageBatch batch;
+  if (!net::Decode(response, &batch, wire_version_)) {
+    MarkBroken("malformed FETCH response");
+    return BrokenStatus();
   }
+  return std::move(batch.messages);
 }
 
 common::Result<pubsub::Offset> Client::Commit(const pubsub::GroupId& group,
@@ -382,24 +374,14 @@ common::Result<pubsub::Offset> Client::Commit(const pubsub::GroupId& group,
   req.mode = mode;
   std::string payload;
   net::Encode(req, &payload);
-  for (std::size_t attempt = 0;; ++attempt) {
-    std::string response;
-    common::TimeMicros retry_after = 0;
-    const common::Status st = Call(net::Verb::kCommit, NextId(), payload, &response, &retry_after);
-    if (st.ok()) {
-      net::CommitResponse resp;
-      if (!net::Decode(response, &resp)) {
-        MarkBroken("malformed COMMIT response");
-        return BrokenStatus();
-      }
-      return resp.has_committed ? resp.committed : pubsub::Offset{0};
-    }
-    if (st.code() != common::StatusCode::kUnavailable || retry_after <= 0 ||
-        attempt >= options_.max_backpressure_retries) {
-      return st;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(retry_after));
+  std::string response;
+  RETURN_IF_ERROR(CallThroughBackpressure(net::Verb::kCommit, payload, &response));
+  net::CommitResponse resp;
+  if (!net::Decode(response, &resp)) {
+    MarkBroken("malformed COMMIT response");
+    return BrokenStatus();
   }
+  return resp.has_committed ? resp.committed : pubsub::Offset{0};
 }
 
 common::Result<std::unique_ptr<Subscription>> Client::Subscribe(const std::string& topic,

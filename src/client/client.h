@@ -12,10 +12,11 @@
 // streams' queues while waiting for its own response.
 //
 // Backpressure: a server ERROR carrying retry_after_us is the runtime's
-// saturation hint propagated over the wire. Publish/Commit retry through it
-// automatically (bounded by ClientOptions::max_backpressure_retries, sleeping
-// the hinted backoff each time) so callers see kUnavailable only when the
-// server stays saturated past the retry budget — never a silent drop.
+// saturation hint propagated over the wire. Publish, Fetch and Commit share
+// one retry loop (CallThroughBackpressure): it sleeps the hinted backoff and
+// resends, up to ClientOptions::max_backpressure_retries times, so callers
+// see kUnavailable only when the server stays saturated past the retry
+// budget — never a silent drop.
 #ifndef SRC_CLIENT_CLIENT_H_
 #define SRC_CLIENT_CLIENT_H_
 
@@ -56,8 +57,8 @@ struct ClientOptions {
   bool auto_heartbeat = true;
   // Deadline for a single request/response round trip (<= 0: wait forever).
   common::TimeMicros call_timeout_us = 10 * common::kMicrosPerSecond;
-  // How many kUnavailable+retry_after rounds Publish/Commit ride out before
-  // surfacing the error.
+  // How many kUnavailable+retry_after rounds Publish, Fetch and Commit ride
+  // out before surfacing the error.
   std::size_t max_backpressure_retries = 1024;
 };
 
@@ -162,6 +163,10 @@ class Client {
   common::Status Call(net::Verb verb, std::uint64_t request_id, const std::string& payload,
                       std::string* response, common::TimeMicros* retry_after_us = nullptr,
                       bool send = true);
+  // Call under a fresh request id per attempt, retried through kUnavailable
+  // replies that carry a retry hint (see the header comment).
+  common::Status CallThroughBackpressure(net::Verb verb, const std::string& payload,
+                                         std::string* response);
 
   // Reads and routes frames until `until` says stop or the deadline passes.
   // kOk when `until` fired; kUnavailable on timeout; connection errors mark

@@ -81,7 +81,7 @@ pubsub::PartitionId ConcurrentBroker::PartitionCount(const std::string& topic) c
 }
 
 common::Result<pubsub::PartitionId> ConcurrentBroker::RoutePartition(
-    TopicState* state, const pubsub::Message& msg,
+    TopicState* state, std::string_view key,
     const std::optional<pubsub::PartitionId>& partition) {
   if (partition.has_value()) {
     if (*partition >= state->config.partitions) {
@@ -89,8 +89,8 @@ common::Result<pubsub::PartitionId> ConcurrentBroker::RoutePartition(
     }
     return *partition;
   }
-  if (!msg.key.empty()) {
-    return static_cast<pubsub::PartitionId>(pubsub::Broker::HashKey(msg.key) %
+  if (!key.empty()) {
+    return static_cast<pubsub::PartitionId>(pubsub::Broker::HashKey(key) %
                                             state->config.partitions);
   }
   return static_cast<pubsub::PartitionId>(state->round_robin.fetch_add(
@@ -98,54 +98,60 @@ common::Result<pubsub::PartitionId> ConcurrentBroker::RoutePartition(
                                           state->config.partitions);
 }
 
-common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Message msg,
-                                            std::optional<pubsub::PartitionId> partition,
-                                            common::TimeMicros* retry_after) {
+common::Result<pubsub::PartitionId> ConcurrentBroker::PreparePublish(
+    const std::string& topic, pubsub::Message& msg,
+    const std::optional<pubsub::PartitionId>& partition) {
   TopicState* state = FindTopic(topic);
   if (state == nullptr) {
     return common::Status::NotFound("no such topic: " + topic);
   }
-  auto routed = RoutePartition(state, msg, partition);
+  auto routed = RoutePartition(state, msg.key, partition);
+  if (routed.ok() && obs::TracingEnabled() && !msg.trace.considered()) {
+    // Origin here (not on the shard) so origin→append covers the queue wait.
+    msg.trace = obs::TraceContext::Start();
+  }
+  return routed;
+}
+
+common::Status ConcurrentBroker::Admit(std::size_t shard, std::size_t records,
+                                       common::TimeMicros* retry_after, Task task) {
+  common::Status status = common::Status::Ok();
+  if (pool_->ShardFailingOver(shard)) {
+    status = pool_->Backpressure(shard, "failing over", retry_after);
+  } else if (!pool_->TryPost(shard, std::move(task))) {
+    status = pool_->Backpressure(shard, "saturated", retry_after);
+  }
+  (status.ok() ? publish_accepted_ : publish_rejected_)
+      ->Increment(static_cast<std::int64_t>(records));
+  return status;
+}
+
+common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Message msg,
+                                            std::optional<pubsub::PartitionId> partition,
+                                            common::TimeMicros* retry_after) {
+  return TryPublishAsync(topic, std::move(msg), partition, retry_after, nullptr);
+}
+
+common::Status ConcurrentBroker::TryPublishAsync(
+    const std::string& topic, pubsub::Message msg, std::optional<pubsub::PartitionId> partition,
+    common::TimeMicros* retry_after,
+    std::function<void(common::Result<pubsub::PublishResult>)> done) {
+  auto routed = PreparePublish(topic, msg, partition);
   if (!routed.ok()) {
     return routed.status();
   }
   const pubsub::PartitionId p = *routed;
   const std::size_t shard = OwnerShard(p);
-  if (pool_->ShardFailingOver(shard)) {
-    return Reject(shard, "failing over", 1, retry_after);
-  }
-  if (obs::TracingEnabled() && !msg.trace.considered()) {
-    // Origin here (not on the shard) so origin→append covers the queue wait.
-    msg.trace = obs::TraceContext::Start();
-  }
-  // Resolve the shard broker inside the task: a failover between enqueue and
-  // execution replaces core(shard).broker, and a pointer captured here would
-  // dangle.
-  const bool posted =
-      pool_->TryPost(shard, [pool = pool_, shard, topic, msg = std::move(msg), p]() mutable {
-        // Cannot fail: the topic exists on every shard and p is range-checked.
-        (void)pool->core(shard).broker->Publish(topic, std::move(msg), p);
-      });
-  if (!posted) {
-    return Reject(shard, "saturated", 1, retry_after);
-  }
-  publish_accepted_->Increment();
-  return common::Status::Ok();
-}
-
-common::Status ConcurrentBroker::Reject(std::size_t shard, const char* why, std::size_t records,
-                                        common::TimeMicros* retry_after) {
-  // Every kUnavailable exit populates retry_after with a nonzero, bounded,
-  // depth-scaled backoff — a zero (or untouched) hint makes callers
-  // retry-spin, an unbounded one strands them. Computed here, on rejection
-  // only: the hint reads the shard's ring depth.
-  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
-  publish_rejected_->Increment(static_cast<std::int64_t>(records));
-  if (retry_after != nullptr) {
-    *retry_after = backoff;
-  }
-  return common::Status::Unavailable("shard " + std::to_string(shard) + " " + why +
-                                     "; retry after " + std::to_string(backoff) + "us");
+  return Admit(shard, 1, retry_after,
+               [pool = pool_, shard, topic, msg = std::move(msg), p,
+                done = std::move(done)]() mutable {
+                 // Cannot fail: the topic exists on every shard and p is
+                 // range-checked.
+                 auto result = pool->core(shard).broker->Publish(topic, std::move(msg), p);
+                 if (done) {
+                   done(std::move(result));
+                 }
+               });
 }
 
 common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
@@ -169,52 +175,40 @@ common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
     pubsub::PartitionId partition;
     std::size_t index;
   };
-  std::map<std::size_t, std::vector<Routed>> groups;
+  std::vector<std::vector<Routed>> groups(pool_->shard_count());
   const std::vector<PublishBatch::Staged>& staged = batch->staged();
   for (std::size_t i = 0; i < staged.size(); ++i) {
-    pubsub::PartitionId p;
-    if (!staged[i].key.empty()) {
-      p = static_cast<pubsub::PartitionId>(pubsub::Broker::HashKey(staged[i].key) %
-                                           state->config.partitions);
-    } else {
-      p = static_cast<pubsub::PartitionId>(
-          state->round_robin.fetch_add(1, std::memory_order_relaxed) %
-          state->config.partitions);
-    }
+    // No explicit partition, so routing cannot fail.
+    const pubsub::PartitionId p = RoutePartition(state, staged[i].key, std::nullopt).value();
     groups[OwnerShard(p)].push_back(Routed{p, i});
   }
-  for (auto& [shard, group] : groups) {
-    // Taken before the lambda steals `group`: the rejected branch still needs
-    // the count after a failed TryPost has consumed the moved-from vector.
-    const std::size_t group_size = group.size();
-    const bool rejected =
-        pool_->ShardFailingOver(shard) ||
-        !pool_->TryPost(shard, [pool = pool_, shard, topic, batch,
-                                group = std::move(group)]() mutable {
-          // One task appends the whole group as one run per partition. The
-          // split runs here, on the shard, off the producer's post path; the
-          // stable sort keeps staging order within each partition.
-          std::stable_sort(group.begin(), group.end(), [](const Routed& a, const Routed& b) {
-            return a.partition < b.partition;
-          });
-          pubsub::Broker* broker = pool->core(shard).broker.get();
-          const std::vector<PublishBatch::Staged>& records = batch->staged();
-          std::vector<pubsub::RecordView> run;
-          run.reserve(group.size());
-          for (std::size_t i = 0; i < group.size();) {
-            const pubsub::PartitionId p = group[i].partition;
-            run.clear();
-            for (; i < group.size() && group[i].partition == p; ++i) {
-              run.push_back(records[group[i].index]);
-            }
-            // Cannot fail: the topic exists on every shard and p is in range.
-            (void)broker->PublishRun(topic, p, run);
-          }
-        });
-    if (rejected) {
-      return Reject(shard, "saturated", group_size, retry_after);
+  for (std::size_t shard = 0; shard < groups.size(); ++shard) {
+    const std::size_t group_size = groups[shard].size();
+    if (group_size == 0) {
+      continue;
     }
-    publish_accepted_->Increment(static_cast<std::int64_t>(group_size));
+    // One task appends the whole group as one run per partition. The split
+    // runs there, on the shard, off the producer's post path; the stable sort
+    // keeps staging order within each partition.
+    auto append = [pool = pool_, shard, topic, batch, group = std::move(groups[shard])]() mutable {
+      std::stable_sort(group.begin(), group.end(), [](const Routed& a, const Routed& b) {
+        return a.partition < b.partition;
+      });
+      pubsub::Broker* broker = pool->core(shard).broker.get();
+      const std::vector<PublishBatch::Staged>& records = batch->staged();
+      std::vector<pubsub::RecordView> run;
+      run.reserve(group.size());
+      for (std::size_t i = 0; i < group.size();) {
+        const pubsub::PartitionId p = group[i].partition;
+        run.clear();
+        for (; i < group.size() && group[i].partition == p; ++i) {
+          run.push_back(records[group[i].index]);
+        }
+        // Cannot fail: the topic exists on every shard and p is in range.
+        (void)broker->PublishRun(topic, p, run);
+      }
+    };
+    RETURN_IF_ERROR(Admit(shard, group_size, retry_after, std::move(append)));
     if (accepted != nullptr) {
       *accepted += group_size;
     }
@@ -224,18 +218,11 @@ common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
 
 common::Result<pubsub::PublishResult> ConcurrentBroker::PublishSync(
     const std::string& topic, pubsub::Message msg, std::optional<pubsub::PartitionId> partition) {
-  TopicState* state = FindTopic(topic);
-  if (state == nullptr) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  auto routed = RoutePartition(state, msg, partition);
+  auto routed = PreparePublish(topic, msg, partition);
   if (!routed.ok()) {
     return routed.status();
   }
   const pubsub::PartitionId p = *routed;
-  if (obs::TracingEnabled() && !msg.trace.considered()) {
-    msg.trace = obs::TraceContext::Start();
-  }
   auto result = pool_->RunOn(OwnerShard(p), [&](ShardCore& core) {
     return core.broker->Publish(topic, std::move(msg), p);
   });
@@ -243,40 +230,6 @@ common::Result<pubsub::PublishResult> ConcurrentBroker::PublishSync(
     publish_accepted_->Increment();
   }
   return result;
-}
-
-common::Status ConcurrentBroker::TryPublishAsync(
-    const std::string& topic, pubsub::Message msg, std::optional<pubsub::PartitionId> partition,
-    common::TimeMicros* retry_after,
-    std::function<void(common::Result<pubsub::PublishResult>)> done) {
-  TopicState* state = FindTopic(topic);
-  if (state == nullptr) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  auto routed = RoutePartition(state, msg, partition);
-  if (!routed.ok()) {
-    return routed.status();
-  }
-  const pubsub::PartitionId p = *routed;
-  const std::size_t shard = OwnerShard(p);
-  if (pool_->ShardFailingOver(shard)) {
-    return Reject(shard, "failing over", 1, retry_after);
-  }
-  if (obs::TracingEnabled() && !msg.trace.considered()) {
-    msg.trace = obs::TraceContext::Start();
-  }
-  // Broker resolved inside the task (failover may swap it); the append and
-  // the completion both run on the owner shard's thread.
-  const bool posted = pool_->TryPost(
-      shard, [pool = pool_, shard, topic, msg = std::move(msg), p,
-              done = std::move(done)]() mutable {
-        done(pool->core(shard).broker->Publish(topic, std::move(msg), p));
-      });
-  if (!posted) {
-    return Reject(shard, "saturated", 1, retry_after);
-  }
-  publish_accepted_->Increment();
-  return common::Status::Ok();
 }
 
 common::Result<std::vector<pubsub::StoredMessage>> ConcurrentBroker::Fetch(
@@ -306,18 +259,11 @@ common::Status ConcurrentBroker::TryFetchAsync(
     return common::Status::InvalidArgument("partition out of range");
   }
   const std::size_t shard = OwnerShard(partition);
-  const bool posted = pool_->TryPost(
-      shard, [pool = pool_, shard, topic, partition, offset, max, done = std::move(done)] {
+  if (!pool_->TryPost(shard, [pool = pool_, shard, topic, partition, offset, max,
+                              done = std::move(done)] {
         done(pool->core(shard).broker->Fetch(topic, partition, offset, max));
-      });
-  if (!posted) {
-    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " saturated; retry after " + std::to_string(backoff) +
-                                       "us");
+      })) {
+    return pool_->Backpressure(shard, "saturated", retry_after);
   }
   return common::Status::Ok();
 }
@@ -444,8 +390,8 @@ common::Status ConcurrentBroker::TryCommitAsync(const pubsub::GroupId& group,
                                                 common::TimeMicros* retry_after,
                                                 std::function<void(pubsub::Offset)> done) {
   const std::size_t shard = OwnerShard(partition);
-  const bool posted = pool_->TryPost(
-      shard, [pool = pool_, shard, group, partition, commit_offset, done = std::move(done)] {
+  if (!pool_->TryPost(shard, [pool = pool_, shard, group, partition, commit_offset,
+                              done = std::move(done)] {
         pubsub::Broker* broker = pool->core(shard).broker.get();
         if (commit_offset.has_value()) {
           broker->CommitOffset(group, partition, *commit_offset);
@@ -453,15 +399,8 @@ common::Status ConcurrentBroker::TryCommitAsync(const pubsub::GroupId& group,
         if (done) {
           done(broker->CommittedOffset(group, partition));
         }
-      });
-  if (!posted) {
-    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("shard " + std::to_string(shard) +
-                                       " saturated; retry after " + std::to_string(backoff) +
-                                       "us");
+      })) {
+    return pool_->Backpressure(shard, "saturated", retry_after);
   }
   return common::Status::Ok();
 }

@@ -9,12 +9,10 @@
 //   * group *commits* are per-partition state and live with the partition's
 //     owning shard, keeping the committed-offset-vs-log invariants local.
 //
-// Backpressure: TryPublish is the fire-and-forget hot path — when the owning
-// shard's queue is full it returns kUnavailable with a retry-after hint and
-// the rejection is counted (runtime.publish_rejected). Accepted publishes are
-// never dropped: every accepted message is appended by the owning shard.
-// Synchronous calls (fetch, commit, joins) block instead, which is their form
-// of backpressure.
+// Backpressure: every Try* call is non-blocking and, when the owning shard's
+// queue is full, returns ShardPool::Backpressure's reply (kUnavailable with a
+// retry-after hint). Synchronous calls (PublishSync, fetch, commit, joins)
+// block instead, which is their form of backpressure.
 #ifndef SRC_RUNTIME_CONCURRENT_BROKER_H_
 #define SRC_RUNTIME_CONCURRENT_BROKER_H_
 
@@ -26,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -49,10 +48,6 @@ class ConcurrentBroker {
     return partition % pool_->shard_count();
   }
 
-  // The underlying pool (hint computation, shard-count queries by embedders
-  // like pubsubd that must not reach into facade internals).
-  ShardPool* pool() const { return pool_; }
-
   // -- Topics (fenced: created on every shard) ---------------------------------
 
   common::Status CreateTopic(const std::string& topic, pubsub::TopicConfig config);
@@ -60,54 +55,49 @@ class ConcurrentBroker {
   pubsub::PartitionId PartitionCount(const std::string& topic) const;
 
   // -- Publishing ---------------------------------------------------------------
-
-  // Fire-and-forget publish with explicit backpressure. Routing mirrors
-  // Broker::Publish: explicit partition, else key hash, else round robin (the
-  // facade keeps the round-robin cursor since the shard brokers each see only
-  // their own partitions). On EVERY kUnavailable return — shard saturated or
-  // failing over — `retry_after` (if non-null) receives a nonzero suggested
-  // backoff in MICROSECONDS; callers may sleep it verbatim without a
-  // zero-spin guard.
+  //
+  // One contract for the four publish calls. Routing mirrors Broker::Publish:
+  // explicit partition (range-checked), else key hash, else the facade's
+  // round-robin cursor (each shard broker sees only its own partitions). The
+  // owner shard runs the append and resolves its broker inside the task, so
+  // a failover between post and append cannot leave a dangling pointer.
+  //
+  // TryPublish, TryPublishAsync and TryPublishBatch never block. While the
+  // owner shard is saturated or failing over they return kUnavailable and
+  // `retry_after` (if non-null) receives a nonzero, depth-scaled backoff in
+  // MICROSECONDS that callers may sleep verbatim (ShardPool::Backpressure).
+  // Refused records count in runtime.publish_rejected; accepted ones count in
+  // runtime.publish_accepted and are never dropped. TryPublishAsync calls
+  // `done` (may be empty) on the owner shard's thread with the assigned
+  // partition/offset once the append ran, never for a refused publish, and
+  // `done` must not block; TryPublish is TryPublishAsync without `done`.
+  //
+  // TryPublishBatch routes every staged record (key hash, else round robin)
+  // and posts one task per involved shard, in shard order. Each task appends
+  // its group as one Broker::PublishRun per partition in staging order, so
+  // per-producer order per partition holds and a durable partition journals
+  // each run as one wal batch. On the first refused shard the remaining
+  // groups are not posted, and `*accepted` (optional) reports how many
+  // records earlier groups accepted; a batch one shard owns is therefore
+  // all-or-nothing. The posted tasks share the batch: do not Clear/Add it
+  // until they drained.
+  //
+  // PublishSync blocks through backpressure (ShardPool::RunOn, inline on a
+  // stopped pool) and returns the assigned partition/offset. For tests and
+  // low-rate callers.
   common::Status TryPublish(const std::string& topic, pubsub::Message msg,
                             std::optional<pubsub::PartitionId> partition = std::nullopt,
                             common::TimeMicros* retry_after = nullptr);
-
-  // Batched fire-and-forget publish — the arena-backed hot path. Routes each
-  // staged record (key hash, else the facade's round-robin cursor), groups
-  // records by owner shard, and posts ONE ring task per involved shard; the
-  // task splits its group into one run per partition, in staging order, and
-  // appends each run with Broker::PublishRun. So per-producer order per
-  // partition is preserved, the per-message closure/queue cost is amortized
-  // over the group, and a durable partition journals each run as one wal
-  // batch. Groups post in shard order and independently: on the first
-  // saturated (or failing-over) shard the remaining groups are NOT posted,
-  // kUnavailable is returned with `retry_after` set, and `*accepted`
-  // (optional) reports how many staged records earlier groups accepted.
-  // When one shard owns every record — the single-partition / keyed hot
-  // path this exists for — that makes the batch all-or-nothing. The batch
-  // is shared-owned by the posted tasks; do not mutate (Clear/Add) a
-  // successfully posted batch until its tasks drained.
-  common::Status TryPublishBatch(const std::string& topic, std::shared_ptr<PublishBatch> batch,
-                                 common::TimeMicros* retry_after = nullptr,
-                                 std::size_t* accepted = nullptr);
-
-  // Synchronous publish: blocks through backpressure and returns the assigned
-  // partition/offset. For tests and low-rate callers.
-  common::Result<pubsub::PublishResult> PublishSync(
-      const std::string& topic, pubsub::Message msg,
-      std::optional<pubsub::PartitionId> partition = std::nullopt);
-
-  // Non-blocking acked publish (the network front-end's offset-ack path):
-  // routes like TryPublish, but once the append executes on the owner shard
-  // `done` is invoked — on that shard's worker thread — with the assigned
-  // partition/offset. Backpressure is synchronous and loud exactly like
-  // TryPublish: on kUnavailable (queue full / failing over) `done` is never
-  // called and `retry_after` receives a nonzero backoff. `done` must not
-  // block (it runs inside the shard's task batch).
   common::Status TryPublishAsync(
       const std::string& topic, pubsub::Message msg,
       std::optional<pubsub::PartitionId> partition, common::TimeMicros* retry_after,
       std::function<void(common::Result<pubsub::PublishResult>)> done);
+  common::Status TryPublishBatch(const std::string& topic, std::shared_ptr<PublishBatch> batch,
+                                 common::TimeMicros* retry_after = nullptr,
+                                 std::size_t* accepted = nullptr);
+  common::Result<pubsub::PublishResult> PublishSync(
+      const std::string& topic, pubsub::Message msg,
+      std::optional<pubsub::PartitionId> partition = std::nullopt);
 
   // -- Fetching (synchronous, runs on the partition's owner shard) -------------
 
@@ -118,9 +108,9 @@ class ConcurrentBroker {
 
   // Non-blocking fetch for event-loop callers (pubsubd): the read runs on
   // the partition's owner shard and `done` is invoked there with the batch.
-  // kUnavailable + retry_after when the shard queue is full (`done` never
-  // called); kNotFound/kInvalidArgument for bad topic/partition. `done`
-  // must not block.
+  // ShardPool::Backpressure's reply when the shard queue is full (`done`
+  // never called); kNotFound/kInvalidArgument for bad topic/partition.
+  // `done` must not block.
   common::Status TryFetchAsync(
       const std::string& topic, pubsub::PartitionId partition, pubsub::Offset offset,
       std::size_t max, common::TimeMicros* retry_after,
@@ -172,9 +162,9 @@ class ConcurrentBroker {
   // (pubsubd's COMMIT verb). One task on the partition's owner shard applies
   // the commit (when `commit_offset` is set) and then reads the committed
   // offset — so a read-back can never observe the pre-commit value — and
-  // invokes `done` (may be null) with it on the shard's thread. kUnavailable
-  // + retry_after when the shard queue is full; `done` is then never called
-  // and nothing was committed.
+  // invokes `done` (may be null) with it on the shard's thread.
+  // ShardPool::Backpressure's reply when the shard queue is full; `done` is
+  // then never called and nothing was committed.
   common::Status TryCommitAsync(const pubsub::GroupId& group, pubsub::PartitionId partition,
                                 std::optional<pubsub::Offset> commit_offset,
                                 common::TimeMicros* retry_after,
@@ -204,14 +194,20 @@ class ConcurrentBroker {
   // Shared routing discipline of every publish path: explicit partition
   // (range-checked), else key hash, else the facade's round-robin cursor.
   common::Result<pubsub::PartitionId> RoutePartition(
-      TopicState* state, const pubsub::Message& msg,
+      TopicState* state, std::string_view key,
       const std::optional<pubsub::PartitionId>& partition);
 
-  // `records` publishes refused at the shard's edge (`why`: "saturated" or
-  // "failing over"): counts them and returns kUnavailable with the shard's
-  // retry hint, also stored in `retry_after` when non-null.
-  common::Status Reject(std::size_t shard, const char* why, std::size_t records,
-                        common::TimeMicros* retry_after);
+  // The prepare step of the single-record publishes: topic lookup,
+  // RoutePartition, and the trace origin.
+  common::Result<pubsub::PartitionId> PreparePublish(
+      const std::string& topic, pubsub::Message& msg,
+      const std::optional<pubsub::PartitionId>& partition);
+
+  // The admission step of the non-blocking publishes: refuses while the
+  // shard fails over, else TryPosts `task`, and counts `records` as accepted
+  // or rejected.
+  common::Status Admit(std::size_t shard, std::size_t records, common::TimeMicros* retry_after,
+                       Task task);
 
   ShardPool* pool_;
   common::Counter* publish_accepted_;

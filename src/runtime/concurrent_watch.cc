@@ -158,16 +158,7 @@ common::Status ConcurrentWatchService::TryIngest(const common::ChangeEvent& even
   }
   if (!pool_->TryPost(shard, [system, traced = std::move(traced)] { system->Append(traced); })) {
     ingest_rejected_->Increment();
-    // Depth-scaled and clamped like the broker paths: this used to echo the
-    // raw configured retry_after, which is 0 when the option is 0 — a hint
-    // that tells hint-obeying feeders "no guidance" while the ring is full.
-    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
-    if (retry_after != nullptr) {
-      *retry_after = backoff;
-    }
-    return common::Status::Unavailable("watch shard " + std::to_string(shard) +
-                                       " saturated; retry after " +
-                                       std::to_string(backoff) + "us");
+    return pool_->Backpressure(shard, "saturated", retry_after);
   }
   ingest_accepted_->Increment();
   return common::Status::Ok();

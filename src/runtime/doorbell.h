@@ -1,6 +1,6 @@
-// Doorbell (host-time flavour): the cross-thread counterpart of
-// sim::Doorbell. A shard thread rings it after making data available; a
-// consumer thread parks on it instead of sleeping a poll period.
+// Doorbell: a cross-thread wake-up. A shard thread rings it after making
+// data available; a consumer thread parks on it instead of sleeping a poll
+// period.
 //
 // The primitive is an epoch counter under a mutex/condvar. Waiting is
 // expressed against an epoch the consumer read *before* checking for data,
@@ -12,9 +12,9 @@
 //
 // A producer that slips between (2) and (3) bumps the epoch past `seen`, so
 // the wait returns immediately: the classic lost-wakeup window is closed
-// without holding the data lock across the park. Like the sim flavour, the
-// doorbell carries no payload and rings are not counted per-waiter — a woken
-// consumer re-checks shared state and may find it spuriously unchanged.
+// without holding the data lock across the park. The doorbell carries no
+// payload and rings are not counted per-waiter — a woken consumer re-checks
+// shared state and may find it spuriously unchanged.
 #ifndef SRC_RUNTIME_DOORBELL_H_
 #define SRC_RUNTIME_DOORBELL_H_
 

@@ -193,6 +193,16 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
                     static_cast<common::TimeMicros>(cap);
 }
 
+common::Status ShardPool::Backpressure(std::size_t shard, const char* why,
+                                       common::TimeMicros* retry_after) const {
+  const common::TimeMicros backoff = RetryAfterHint(shard);
+  if (retry_after != nullptr) {
+    *retry_after = backoff;
+  }
+  return common::Status::Unavailable("shard " + std::to_string(shard) + " " + why +
+                                     "; retry after " + std::to_string(backoff) + "us");
+}
+
 bool ShardPool::TryPost(std::size_t shard, Task task) {
   if (!running_.load(std::memory_order_acquire) || !queues_[shard]->TryPush(std::move(task))) {
     post_rejected_->Increment();

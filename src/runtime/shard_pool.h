@@ -17,9 +17,9 @@
 // runtime.idle_polled / runtime.idle_parked count how each idle period ended.
 //
 // Backpressure is explicit and loud: TryPost fails when a shard's queue is
-// full (callers surface kUnavailable with a retry-after hint and the
-// rejection is counted in the MetricsRegistry); Post blocks, which is the
-// synchronous callers' form of backpressure. Nothing is silently dropped.
+// full (callers surface Backpressure()'s kUnavailable and retry-after hint,
+// and the rejection is counted in the MetricsRegistry); Post blocks, which is
+// the synchronous callers' form of backpressure. Nothing is silently dropped.
 #ifndef SRC_RUNTIME_SHARD_POOL_H_
 #define SRC_RUNTIME_SHARD_POOL_H_
 
@@ -194,6 +194,14 @@ class ShardPool {
   // Scales linearly with the shard's current ring depth: an empty ring hints
   // the base, a full ring the ceiling.
   common::TimeMicros RetryAfterHint(std::size_t shard) const;
+
+  // The one backpressure reply of every non-blocking path (the publishes,
+  // TryFetchAsync, TryCommitAsync, TryIngest): kUnavailable naming the shard
+  // and `why` ("saturated" or "failing over"), with RetryAfterHint(shard)
+  // also stored in `retry_after` when non-null. Call it on refusal only: the
+  // hint reads the shard's ring depth at that moment.
+  common::Status Backpressure(std::size_t shard, const char* why,
+                              common::TimeMicros* retry_after) const;
 
   // Non-blocking enqueue; false when the shard is saturated (counted as
   // runtime.post_rejected) or the pool is stopped.

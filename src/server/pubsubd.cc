@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <utility>
 
 namespace server {
@@ -27,6 +28,14 @@ std::string PeerName(const sockaddr_in& addr) {
   return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
+std::string ErrorPayload(const common::Status& status, common::TimeMicros retry_after_us) {
+  std::string payload;
+  net::Encode(
+      net::ErrorBody{static_cast<std::uint32_t>(status.code()), retry_after_us, status.message()},
+      &payload);
+  return payload;
+}
+
 }  // namespace
 
 // Shard-side callbacks (async publish/fetch/commit completions, subscription
@@ -35,6 +44,23 @@ std::string PeerName(const sockaddr_in& addr) {
 // under the gate mutex after the loop has joined. A callback that wins the
 // race nudges the loop; one that loses sees a null server and no-ops.
 struct Server::NudgeGate {
+  // A ready hook or a watch push: every loop turn pumps every session.
+  void Wake() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (server != nullptr) {
+      server->WakeLoop();
+    }
+  }
+
+  // A finished async response for the loop to frame.
+  void Complete(std::uint64_t session_id, net::Verb verb, std::uint64_t request_id,
+                std::string payload) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (server != nullptr) {
+      server->PushCompletion(session_id, verb, request_id, std::move(payload));
+    }
+  }
+
   std::mutex mu;
   Server* server = nullptr;
 };
@@ -107,10 +133,7 @@ class Server::WatchFan : public watch::WatchCallback {
       }
       queue_->items.push_back(std::move(item));
     }
-    std::lock_guard<std::mutex> lock(gate_->mu);
-    if (gate_->server != nullptr) {
-      gate_->server->WakeLoop();
-    }
+    gate_->Wake();
   }
 
   std::shared_ptr<NudgeGate> gate_;
@@ -503,11 +526,7 @@ void Server::SendError(Session& s, std::uint64_t request_id, const common::Statu
   if (retry_after_us > 0) {
     backpressure_errors_->Increment();
   }
-  std::string payload;
-  net::Encode(net::ErrorBody{static_cast<std::uint32_t>(status.code()), retry_after_us,
-                             status.message()},
-              &payload);
-  QueueFrame(s, net::Verb::kError, request_id, payload);
+  QueueFrame(s, net::Verb::kError, request_id, ErrorPayload(status, retry_after_us));
 }
 
 void Server::FailSession(Session& s, std::uint64_t request_id, const common::Status& status,
@@ -609,46 +628,26 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       if (req.has_partition) {
         partition = req.partition;
       }
-      common::TimeMicros retry_after = 0;
+      // kOffset acks from the owner shard once the append ran; kAccept acks
+      // here, once the shard's ring took the record; kNone never acks.
+      std::function<void(common::Result<pubsub::PublishResult>)> done;
       if (req.ack == net::PublishAck::kOffset) {
-        const std::shared_ptr<NudgeGate> gate = gate_;
-        const std::uint64_t sid = s.id;
-        const std::uint64_t rid = frame.request_id;
-        // A completion can surface kUnavailable too (it runs later, against
-        // whatever the shard has become); an ERROR carrying that code with a
-        // zero hint would tell a hint-obeying client "don't retry" while the
-        // shard is saturated. Capture the base hint now — ring depth at
-        // completion time is unknowable here, and the base keeps the bound.
-        const common::TimeMicros hint =
-            std::max<common::TimeMicros>(1, broker_->pool()->options().retry_after);
-        const common::Status st = broker_->TryPublishAsync(
-            req.topic, std::move(msg), partition, &retry_after,
-            [gate, sid, rid, hint](common::Result<pubsub::PublishResult> r) {
-              std::lock_guard<std::mutex> lock(gate->mu);
-              if (gate->server == nullptr) {
-                return;
-              }
-              if (r.ok()) {
-                std::string payload;
-                net::Encode(net::PublishResponse{true, r->partition, r->offset}, &payload);
-                gate->server->PushCompletion(sid, net::Verb::kPublish, rid, std::move(payload));
-              } else {
-                const bool unavailable =
-                    r.status().code() == common::StatusCode::kUnavailable;
-                std::string payload;
-                net::Encode(net::ErrorBody{static_cast<std::uint32_t>(r.status().code()),
-                                           unavailable ? hint : 0, r.status().message()},
-                            &payload);
-                gate->server->PushCompletion(sid, net::Verb::kError, rid, std::move(payload));
-              }
-            });
-        if (!st.ok()) {
-          SendError(s, frame.request_id, st, retry_after);
-        }
-        return;
+        done = [gate = gate_, sid = s.id,
+                rid = frame.request_id](common::Result<pubsub::PublishResult> r) {
+          // No retry hint: Broker::Publish refuses only an unknown topic or
+          // partition, and the facade checked both before posting.
+          if (!r.ok()) {
+            gate->Complete(sid, net::Verb::kError, rid, ErrorPayload(r.status(), 0));
+            return;
+          }
+          std::string payload;
+          net::Encode(net::PublishResponse{true, r->partition, r->offset}, &payload);
+          gate->Complete(sid, net::Verb::kPublish, rid, std::move(payload));
+        };
       }
-      const common::Status st = broker_->TryPublish(req.topic, std::move(msg), partition,
-                                                    &retry_after);
+      common::TimeMicros retry_after = 0;
+      const common::Status st = broker_->TryPublishAsync(req.topic, std::move(msg), partition,
+                                                         &retry_after, std::move(done));
       if (!st.ok()) {
         SendError(s, frame.request_id, st, retry_after);
       } else if (req.ack == net::PublishAck::kAccept) {
@@ -664,34 +663,19 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         break;
       }
       common::TimeMicros retry_after = 0;
-      const std::shared_ptr<NudgeGate> gate = gate_;
-      const std::uint64_t sid = s.id;
-      const std::uint64_t rid = frame.request_id;
-      const std::uint32_t wv = s.wire_version;
-      const common::TimeMicros hint =
-          std::max<common::TimeMicros>(1, broker_->pool()->options().retry_after);
       const common::Status st = broker_->TryFetchAsync(
           req.topic, req.partition, req.offset, req.max, &retry_after,
-          [gate, sid, rid, wv, hint](common::Result<std::vector<pubsub::StoredMessage>> r) {
-            std::lock_guard<std::mutex> lock(gate->mu);
-            if (gate->server == nullptr) {
+          [gate = gate_, sid = s.id, rid = frame.request_id,
+           wv = s.wire_version](common::Result<std::vector<pubsub::StoredMessage>> r) {
+            if (!r.ok()) {
+              gate->Complete(sid, net::Verb::kError, rid, ErrorPayload(r.status(), 0));
               return;
             }
-            if (r.ok()) {
-              net::MessageBatch batch;
-              batch.messages = std::move(*r);
-              std::string payload;
-              net::Encode(batch, &payload, wv);
-              gate->server->PushCompletion(sid, net::Verb::kFetch, rid, std::move(payload));
-            } else {
-              const bool unavailable =
-                  r.status().code() == common::StatusCode::kUnavailable;
-              std::string payload;
-              net::Encode(net::ErrorBody{static_cast<std::uint32_t>(r.status().code()),
-                                         unavailable ? hint : 0, r.status().message()},
-                          &payload);
-              gate->server->PushCompletion(sid, net::Verb::kError, rid, std::move(payload));
-            }
+            net::MessageBatch batch;
+            batch.messages = std::move(*r);
+            std::string payload;
+            net::Encode(batch, &payload, wv);
+            gate->Complete(sid, net::Verb::kFetch, rid, std::move(payload));
           });
       if (!st.ok()) {
         SendError(s, frame.request_id, st, retry_after);
@@ -730,13 +714,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
                   0);
         return;
       }
-      const std::shared_ptr<NudgeGate> gate = gate_;
-      sub->SetReadyHook([gate] {
-        std::lock_guard<std::mutex> lock(gate->mu);
-        if (gate->server != nullptr) {
-          gate->server->WakeLoop();
-        }
-      });
+      sub->SetReadyHook([gate = gate_] { gate->Wake(); });
       SubStream stream;
       stream.sub = std::move(sub);
       stream.max_batch = std::max<std::uint32_t>(1, req.max_batch);
@@ -793,43 +771,31 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       if (!net::Decode(frame.payload, &req)) {
         break;
       }
-      common::TimeMicros retry_after = 0;
       std::optional<pubsub::Offset> commit_offset;
       if (req.mode != net::CommitMode::kQuery) {
         commit_offset = req.offset;
       }
-      common::Status st;
-      if (req.mode == net::CommitMode::kCommit) {
-        // Plain commit acks acceptance: once the task is on the owner
-        // shard's queue the commit is as durable as any accepted publish.
-        st = broker_->TryCommitAsync(req.group, req.partition, commit_offset, &retry_after,
-                                     nullptr);
-        if (st.ok()) {
+      // A plain commit acks acceptance here: once the task is on the owner
+      // shard's queue the commit is as durable as any accepted publish. The
+      // other modes answer from the shard with the committed offset.
+      std::function<void(pubsub::Offset)> done;
+      if (req.mode != net::CommitMode::kCommit) {
+        done = [gate = gate_, sid = s.id, rid = frame.request_id](pubsub::Offset committed) {
           std::string payload;
-          net::Encode(net::CommitResponse{}, &payload);
-          QueueFrame(s, net::Verb::kCommit, frame.request_id, payload);
-          return;
-        }
-      } else {
-        const std::shared_ptr<NudgeGate> gate = gate_;
-        const std::uint64_t sid = s.id;
-        const std::uint64_t rid = frame.request_id;
-        st = broker_->TryCommitAsync(req.group, req.partition, commit_offset, &retry_after,
-                                     [gate, sid, rid](pubsub::Offset committed) {
-                                       std::lock_guard<std::mutex> lock(gate->mu);
-                                       if (gate->server == nullptr) {
-                                         return;
-                                       }
-                                       std::string payload;
-                                       net::Encode(net::CommitResponse{true, committed}, &payload);
-                                       gate->server->PushCompletion(sid, net::Verb::kCommit, rid,
-                                                                    std::move(payload));
-                                     });
-        if (st.ok()) {
-          return;
-        }
+          net::Encode(net::CommitResponse{true, committed}, &payload);
+          gate->Complete(sid, net::Verb::kCommit, rid, std::move(payload));
+        };
       }
-      SendError(s, frame.request_id, st, retry_after);
+      common::TimeMicros retry_after = 0;
+      const common::Status st = broker_->TryCommitAsync(req.group, req.partition, commit_offset,
+                                                        &retry_after, std::move(done));
+      if (!st.ok()) {
+        SendError(s, frame.request_id, st, retry_after);
+      } else if (req.mode == net::CommitMode::kCommit) {
+        std::string payload;
+        net::Encode(net::CommitResponse{}, &payload);
+        QueueFrame(s, net::Verb::kCommit, frame.request_id, payload);
+      }
       return;
     }
     case net::Verb::kCancel: {

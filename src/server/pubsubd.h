@@ -7,11 +7,11 @@
 //
 // Design rules, in the backpressure posture of the rest of the runtime:
 //
-//   * The loop never blocks on a shard. Publishes use TryPublish /
-//     TryPublishAsync, fetches TryFetchAsync, commits TryCommitAsync —
-//     saturation comes back as an ERROR frame carrying the shard's
-//     retry_after hint, propagating backpressure to the remote producer
-//     instead of stalling every other connection.
+//   * The loop never blocks on a shard. Publishes use TryPublishAsync,
+//     fetches TryFetchAsync, commits TryCommitAsync — saturation comes back
+//     as an ERROR frame carrying the shard's retry_after hint, propagating
+//     backpressure to the remote producer instead of stalling every other
+//     connection.
 //   * Long-poll SUBSCRIBE rides the event-driven runtime::Subscription: the
 //     owner shard pushes appends into the subscription's handoff lane and
 //     the subscription's ready hook nudges the loop through a self-pipe —

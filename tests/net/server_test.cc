@@ -509,8 +509,9 @@ TEST(ServerTest, MalformedPayloadAndUnexpectedVerbAreTypedFailures) {
 
 TEST(ServerTest, BackpressurePropagatesRetryAfterOverTheWire) {
   // A 1-shard pool with a tiny queue: stall the worker, fill the queue, and
-  // a remote publish must come back kUnavailable with the shard's hint —
-  // then succeed once the shard drains (the client's bounded retry loop).
+  // a remote publish, fetch and commit must each come back kUnavailable with
+  // the shard's hint — then succeed once the shard drains (the client's
+  // bounded retry loop, which all three share).
   runtime::RuntimeOptions po;
   po.shards = 1;
   po.queue_capacity = 4;
@@ -534,16 +535,25 @@ TEST(ServerTest, BackpressurePropagatesRetryAfterOverTheWire) {
   while (h.pool->TryPost(0, [] {})) {
   }
 
-  const Status st = (*c)->Publish("bp", "k", "v");
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_GE(h.pool->metrics().counter("net.backpressure_errors").value(), 1u);
+  const common::Counter& errors = h.pool->metrics().counter("net.backpressure_errors");
+  EXPECT_EQ((*c)->Publish("bp", "k", "v").code(), StatusCode::kUnavailable);
+  EXPECT_EQ(errors.value(), 1);
+  EXPECT_EQ((*c)->Fetch("bp", 0, 0, 16).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(errors.value(), 2);
+  EXPECT_EQ((*c)->Commit("g", 0, 1).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(errors.value(), 3);
 
   release.store(true, std::memory_order_release);
 
-  // With the retry budget restored, the same publish rides the hint out.
+  // With the retry budget restored, each verb rides the hint out.
   auto retrying = h.Connect();
   ASSERT_TRUE(retrying.ok());
   EXPECT_TRUE((*retrying)->Publish("bp", "k2", "v2").ok());
+  auto fetched = (*retrying)->Fetch("bp", 0, 0, 16);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().message();
+  ASSERT_EQ(fetched->size(), 1u);  // The refused publish was never accepted.
+  EXPECT_EQ((*fetched)[0].message.key, "k2");
+  EXPECT_TRUE((*retrying)->Commit("g", 0, 1).ok());
 }
 
 // Shard-side wakes are coalesced: only the WakeLoop call that raises the

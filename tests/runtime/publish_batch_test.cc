@@ -171,6 +171,65 @@ TEST(PublishBatchTest, SaturatedShardRejectsTheWholeBatchLoudly) {
   EXPECT_EQ(pool.core(0).broker->EndOffset("t", 0), 2u);
 }
 
+TEST(PublishBatchTest, MultiShardBatchPostsGroupsInShardOrderUntilTheFirstRefusal) {
+  RuntimeOptions options;
+  options.shards = 2;
+  options.queue_capacity = 2;
+  ShardPool pool(options);
+  ConcurrentBroker broker(&pool);
+  pool.Start();
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 2}).ok());
+
+  // Park shard 1's worker and fill its ring; shard 0 stays free.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Post(1, [gate] { gate.wait(); });
+  while (pool.queue_depth(1) != 0) {
+    std::this_thread::yield();
+  }
+  while (pool.TryPost(1, [] {})) {
+  }
+
+  // Keyed records; partition p is owned by shard p % 2 == p.
+  auto batch = std::make_shared<PublishBatch>();
+  std::vector<std::string> shard0_keys;
+  std::size_t shard1_records = 0;
+  for (int i = 0; i < 10; ++i) {
+    const std::string key = "key-" + std::to_string(i);
+    batch->Add(key, "v" + std::to_string(i));
+    if (pubsub::Broker::HashKey(key) % 2 == 0) {
+      shard0_keys.push_back(key);
+    } else {
+      ++shard1_records;
+    }
+  }
+  ASSERT_FALSE(shard0_keys.empty());
+  ASSERT_GT(shard1_records, 0u);
+
+  common::TimeMicros retry_after = 0;
+  std::size_t accepted = 0;
+  const common::Status status = broker.TryPublishBatch("t", batch, &retry_after, &accepted);
+  EXPECT_EQ(status.code(), common::StatusCode::kUnavailable);
+  EXPECT_GT(retry_after, 0);
+  // Shard 0's group posts first and is accepted; shard 1's is refused.
+  EXPECT_EQ(accepted, shard0_keys.size());
+  EXPECT_EQ(pool.metrics().counter("runtime.publish_accepted").value(),
+            static_cast<std::int64_t>(shard0_keys.size()));
+  EXPECT_EQ(pool.metrics().counter("runtime.publish_rejected").value(),
+            static_cast<std::int64_t>(shard1_records));
+
+  release.set_value();
+  pool.Quiesce();
+  pool.Stop();
+  auto landed = pool.core(0).broker->Fetch("t", 0, 0, 100);
+  ASSERT_TRUE(landed.ok());
+  ASSERT_EQ(landed->size(), shard0_keys.size());
+  for (std::size_t i = 0; i < shard0_keys.size(); ++i) {
+    EXPECT_EQ((*landed)[i].message.key, shard0_keys[i]) << "staging order broken at " << i;
+  }
+  EXPECT_EQ(pool.core(1).broker->EndOffset("t", 1), 0u);
+}
+
 TEST(PublishBatchTest, EmptyAndUnknownBatchesAreHandled) {
   ShardPool pool({.shards = 1});
   ConcurrentBroker broker(&pool);

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -23,6 +24,7 @@
 #include "obs/trace.h"
 #include "runtime/concurrent_broker.h"
 #include "runtime/concurrent_watch.h"
+#include "runtime/publish_batch.h"
 #include "runtime/shard_pool.h"
 
 namespace runtime {
@@ -141,6 +143,12 @@ TEST(RetryHintTest, AsyncPathsCarryTheSameScaledHint) {
 
     hint = 0;
     EXPECT_FALSE(broker.TryCommitAsync("g", 0, 7, &hint, nullptr).ok());
+    EXPECT_EQ(hint, full_hint);
+
+    hint = 0;
+    auto batch = std::make_shared<PublishBatch>();
+    batch->Add("", "v");
+    EXPECT_FALSE(broker.TryPublishBatch("t", batch, &hint).ok());
     EXPECT_EQ(hint, full_hint);
   }
   pool.Stop();
