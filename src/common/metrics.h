@@ -18,7 +18,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,19 +44,6 @@ class Gauge {
 
  private:
   std::atomic<std::int64_t> value_{0};
-};
-
-// A point-in-time copy of one histogram, taken under the histogram's lock so
-// count/sum/max/samples are mutually consistent even while writers keep
-// recording: `samples.size() == min(count, reservoir_size)` always holds, and
-// no racing Record can be half-visible (counted but not sampled, or
-// vice versa). This is the unit cross-shard aggregation works in — see
-// MergedHistogram.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double max = 0.0;
-  std::vector<double> samples;  // The reservoir at snapshot time.
 };
 
 // Bounded histogram: count / sum / max are exact; percentile queries read a
@@ -127,21 +113,6 @@ class Histogram {
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
   }
 
-  // Consistent copy under one lock acquisition: the only correct input to
-  // cross-shard merging. Reading count() and Percentile() as two separate
-  // calls while writers record yields torn pairs (a sample counted in one
-  // read but missing from the other) — the double-count class of bug the
-  // metrics regression suite pins down.
-  HistogramSnapshot Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    HistogramSnapshot snap;
-    snap.count = count_;
-    snap.sum = sum_;
-    snap.max = count_ == 0 ? 0.0 : max_;
-    snap.samples = samples_;
-    return snap;
-  }
-
   std::size_t reservoir_size() const { return reservoir_size_; }
 
   // Samples currently held (== min(count, reservoir_size)); test hook for the
@@ -171,70 +142,6 @@ class Histogram {
   double max_ = 0.0;
 };
 
-// Cross-shard histogram aggregation. Shards record into private histograms
-// (no lock contention on a shared one); a reader folds their snapshots into
-// a MergedHistogram and queries percentiles of the *pooled* distribution.
-//
-// The merge is a weighted union of the reservoirs, NOT an average of
-// per-shard percentiles: averaging percentiles is wrong whenever shards saw
-// different sample counts or different distributions (the p99 of a shard
-// that recorded 10 samples must not weigh as much as the p99 of one that
-// recorded a million). Each retained sample from a shard with count C and
-// reservoir size R stands for C/R recorded values; Percentile() walks the
-// value-sorted weighted samples to the requested cumulative rank.
-class MergedHistogram {
- public:
-  void Add(const HistogramSnapshot& snap) {
-    if (snap.count == 0 || snap.samples.empty()) {
-      return;
-    }
-    const double weight =
-        static_cast<double>(snap.count) / static_cast<double>(snap.samples.size());
-    weighted_.reserve(weighted_.size() + snap.samples.size());
-    for (double s : snap.samples) {
-      weighted_.push_back({s, weight});
-    }
-    if (count_ == 0 || snap.max > max_) {
-      max_ = snap.max;
-    }
-    count_ += snap.count;
-    sum_ += snap.sum;
-  }
-
-  std::uint64_t count() const { return count_; }
-  double Sum() const { return sum_; }
-  double Mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double Max() const { return count_ == 0 ? 0.0 : max_; }
-
-  // p in [0, 100]: the value at cumulative weight p% of the pooled count.
-  double Percentile(double p) const {
-    if (weighted_.empty()) {
-      return 0.0;
-    }
-    std::vector<std::pair<double, double>> sorted = weighted_;
-    std::sort(sorted.begin(), sorted.end());
-    double total = 0.0;
-    for (const auto& [value, weight] : sorted) {
-      total += weight;
-    }
-    const double rank = (p / 100.0) * total;
-    double cum = 0.0;
-    for (const auto& [value, weight] : sorted) {
-      cum += weight;
-      if (cum >= rank) {
-        return value;
-      }
-    }
-    return sorted.back().first;
-  }
-
- private:
-  std::vector<std::pair<double, double>> weighted_;  // (value, weight) pairs.
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 // A named registry so components can export metrics without wiring plumbing
 // through every constructor. One registry per experiment run. Lookup may be
 // called from any thread; the returned references stay valid for the
@@ -259,22 +166,6 @@ class MetricsRegistry {
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-
-  // Concurrent-safe histogram snapshot: holds the registry lock while
-  // walking the map (so a racing histogram() insert cannot invalidate the
-  // iteration) and takes each histogram's own consistent Snapshot(). Names
-  // not starting with `prefix` are skipped (empty prefix = all). This — not
-  // histograms() — is the path for live aggregation while shards record.
-  std::map<std::string, HistogramSnapshot> SnapshotHistograms(const std::string& prefix = "") {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::map<std::string, HistogramSnapshot> out;
-    for (const auto& [name, hist] : histograms_) {
-      if (name.compare(0, prefix.size(), prefix) == 0) {
-        out.emplace(name, hist.Snapshot());
-      }
-    }
-    return out;
-  }
 
   void Reset() {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,6 +1,7 @@
 #include "pubsub/broker.h"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 
 namespace pubsub {
@@ -16,17 +17,16 @@ Broker::Broker(sim::Simulator* sim, sim::Network* net, sim::NodeId node,
 }
 
 Broker::~Broker() {
-  // Fire (don't drop) every parked waiter: a registered wakeup must always
-  // run exactly once, even when the registry dies first. The callbacks run
-  // as immediate events on the (longer-lived) simulator and re-check state
-  // themselves — the standard contract for every waker in this codebase.
-  for (auto& [ticket, waiter] : waiter_index_) {
-    sim_->After(0, std::move(waiter.fn));
+  // Fire (don't drop) every parked wakeup: a parked wakeup must always run
+  // exactly once unless its interest is removed, even when the registry dies
+  // first. The callbacks run as immediate events on the (longer-lived)
+  // simulator and re-check state themselves — the standard contract for
+  // every waker in this codebase.
+  for (auto& [id, interest] : interests_) {
+    if (interest.wakeup) {
+      sim_->After(0, std::move(interest.wakeup));
+    }
   }
-  waiter_index_.clear();
-  append_waiters_.clear();
-  rebalance_waiters_.clear();
-  interests_.clear();
 }
 
 common::Status Broker::CreateTopic(const std::string& topic, TopicConfig config) {
@@ -45,45 +45,6 @@ common::Status Broker::CreateTopic(const std::string& topic, TopicConfig config)
     t.interest.push_back(std::make_unique<InterestIndex>());
   }
   topics_.emplace(topic, std::move(t));
-  return common::Status::Ok();
-}
-
-common::Status Broker::RemoveTopic(const std::string& topic) {
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) {
-    return common::Status::NotFound("no such topic: " + topic);
-  }
-  // Fire every append waiter parked on the topic's partitions before the
-  // registry entries vanish: long-pollers must wake and observe the removal
-  // (their re-check finds the topic gone), never hang on a dead partition.
-  for (auto w = append_waiters_.begin(); w != append_waiters_.end();) {
-    if (w->first.first != topic) {
-      ++w;
-      continue;
-    }
-    for (const auto& [ticket, offset] : w->second) {
-      auto entry = waiter_index_.find(ticket);
-      sim_->After(0, std::move(entry->second.fn));
-      waiter_index_.erase(entry);
-    }
-    w = append_waiters_.erase(w);
-  }
-  // Filtered interests on the topic die with it: parked match waiters fire
-  // (wakers re-check and find the topic gone) and registrations are dropped
-  // — the per-partition index itself is destroyed with the Topic.
-  for (auto in = interests_.begin(); in != interests_.end();) {
-    if (in->second.topic != topic) {
-      ++in;
-      continue;
-    }
-    if (in->second.ticket != 0) {
-      auto entry = waiter_index_.find(in->second.ticket);
-      sim_->After(0, std::move(entry->second.fn));
-      waiter_index_.erase(entry);
-    }
-    in = interests_.erase(in);
-  }
-  topics_.erase(it);
   return common::Status::Ok();
 }
 
@@ -112,87 +73,6 @@ common::Status Broker::AddPartitions(const std::string& topic, PartitionId addit
     }
   }
   return common::Status::Ok();
-}
-
-Broker::WaitTicket Broker::WaitForAppend(const std::string& topic, PartitionId partition,
-                                         Offset offset, std::function<void()> fn) {
-  auto it = topics_.find(topic);
-  if (it == topics_.end() || partition >= it->second.config.partitions) {
-    return 0;
-  }
-  if (it->second.partitions[partition]->end_offset() > offset) {
-    // Already satisfied: fire as an immediate event, no registration. The
-    // caller's check-then-park loop treats this like any other wakeup.
-    sim_->After(0, std::move(fn));
-    return 0;
-  }
-  const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(ticket, Waiter{topic, partition, offset, GroupId(), 0, std::move(fn)});
-  append_waiters_[{topic, partition}].emplace(ticket, offset);
-  return ticket;
-}
-
-Broker::WaitTicket Broker::WaitForRebalance(const GroupId& group, std::function<void()> fn) {
-  const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(ticket, Waiter{std::string(), 0, 0, group, 0, std::move(fn)});
-  rebalance_waiters_[group].insert(ticket);
-  return ticket;
-}
-
-bool Broker::CancelWait(WaitTicket ticket) {
-  auto it = waiter_index_.find(ticket);
-  if (it == waiter_index_.end()) {
-    return false;
-  }
-  const Waiter& w = it->second;
-  if (w.interest != 0) {
-    auto in = interests_.find(w.interest);
-    if (in != interests_.end() && in->second.ticket == ticket) {
-      in->second.ticket = 0;
-    }
-  } else if (!w.topic.empty()) {
-    auto p = append_waiters_.find({w.topic, w.partition});
-    if (p != append_waiters_.end()) {
-      p->second.erase(ticket);
-      if (p->second.empty()) {
-        append_waiters_.erase(p);
-      }
-    }
-  } else {
-    auto g = rebalance_waiters_.find(w.group);
-    if (g != rebalance_waiters_.end()) {
-      g->second.erase(ticket);
-      if (g->second.empty()) {
-        rebalance_waiters_.erase(g);
-      }
-    }
-  }
-  waiter_index_.erase(it);
-  return true;
-}
-
-void Broker::NotifyAppendWaiters(const std::string& topic, PartitionId partition, Offset end) {
-  auto it = append_waiters_.find({topic, partition});
-  if (it == append_waiters_.end()) {
-    return;
-  }
-  // Collect first (firing order = ticket order, deterministic), then erase:
-  // a fired callback runs later as its own event and may re-register.
-  std::vector<WaitTicket> due;
-  for (const auto& [ticket, offset] : it->second) {
-    if (offset < end) {
-      due.push_back(ticket);
-    }
-  }
-  for (const WaitTicket ticket : due) {
-    auto w = waiter_index_.find(ticket);
-    sim_->After(0, std::move(w->second.fn));
-    waiter_index_.erase(w);
-    it->second.erase(ticket);
-  }
-  if (it->second.empty()) {
-    append_waiters_.erase(it);
-  }
 }
 
 std::uint64_t Broker::HashKey(std::string_view key) {
@@ -224,7 +104,7 @@ common::Result<PublishResult> Broker::Publish(const std::string& topic, Message 
     p = t.next_round_robin;
     t.next_round_robin = (t.next_round_robin + 1) % t.config.partitions;
   }
-  return PublishResult{p, AppendRun(topic, t, p, std::span<Message>(&msg, 1))};
+  return PublishResult{p, AppendRun(t, p, std::span<Message>(&msg, 1))};
 }
 
 common::Result<PublishResult> Broker::PublishRun(const std::string& topic, PartitionId partition,
@@ -247,11 +127,10 @@ common::Result<PublishResult> Broker::PublishRun(const std::string& topic, Parti
       run[i].headers = *records[i].headers;
     }
   }
-  return PublishResult{partition, AppendRun(topic, t, partition, run)};
+  return PublishResult{partition, AppendRun(t, partition, run)};
 }
 
-Offset Broker::AppendRun(const std::string& topic, Topic& t, PartitionId partition,
-                         std::span<Message> run) {
+Offset Broker::AppendRun(Topic& t, PartitionId partition, std::span<Message> run) {
   const common::TimeMicros now = sim_->Now();
   const bool tracing = obs::TracingEnabled();
   for (Message& msg : run) {
@@ -265,9 +144,7 @@ Offset Broker::AppendRun(const std::string& topic, Topic& t, PartitionId partiti
       }
     }
   }
-  PartitionLog& log = *t.partitions[partition];
-  const Offset first = log.AppendRun(run);
-  NotifyAppendWaiters(topic, partition, log.end_offset());
+  const Offset first = t.partitions[partition]->AppendRun(run);
   DispatchInterests(t, partition, first);
   return first;
 }
@@ -288,27 +165,32 @@ void Broker::DispatchInterests(Topic& t, PartitionId partition, Offset first) {
   const std::uint64_t matched_before = idx.lanes_matched();
   std::uint64_t woken = 0;
   std::uint64_t appends_matched = 0;
+  Offset offset = 0;
+  bool matched_any = false;
+  // Built once per run, not per record: the captures outgrow std::function's
+  // inline buffer.
+  const std::function<void(InterestIndex::SubscriberId)> visit =
+      [&](InterestIndex::SubscriberId id) {
+        matched_any = true;
+        auto it = interests_.find(id);
+        if (it == interests_.end()) {
+          return;
+        }
+        Interest& interest = it->second;
+        // Only a parked wakeup whose target offset has arrived fires; a
+        // subscriber mid-catch-up (nothing parked) will meet this record via
+        // its fetch cursor instead.
+        if (!interest.wakeup || offset < interest.wait_offset) {
+          return;
+        }
+        sim_->After(0, std::move(interest.wakeup));
+        interest.wakeup = nullptr;
+        ++woken;
+      };
   for (auto sm = from; sm != entries.end(); ++sm) {
-    bool matched_any = false;
-    idx.Match(sm->message.key, sm->message.headers, [&](InterestIndex::SubscriberId id) {
-      matched_any = true;
-      auto it = interests_.find(id);
-      if (it == interests_.end()) {
-        return;
-      }
-      Interest& interest = it->second;
-      // Only a parked waiter whose target offset has arrived wakes; a
-      // consumer mid-catch-up (no parked waiter) will meet this record via
-      // its filtered fetch cursor instead.
-      if (interest.ticket == 0 || sm->offset < interest.wait_offset) {
-        return;
-      }
-      auto w = waiter_index_.find(interest.ticket);
-      sim_->After(0, std::move(w->second.fn));
-      waiter_index_.erase(w);
-      interest.ticket = 0;
-      ++woken;
-    });
+    offset = sm->offset;
+    matched_any = false;
+    idx.Match(sm->message.key, sm->message.headers, visit);
     appends_matched += matched_any ? 1 : 0;
   }
   if (fanout_wakeups_ != nullptr) {
@@ -323,13 +205,15 @@ void Broker::DispatchInterests(Topic& t, PartitionId partition, Offset first) {
 
 Broker::InterestId Broker::AddInterest(const std::string& topic, PartitionId partition,
                                        Filter filter) {
+  // Process-wide, so no two broker instances ever hand out the same id.
+  static std::atomic<InterestId> next_interest{1};
   auto it = topics_.find(topic);
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return 0;
   }
-  const InterestId id = next_interest_++;
+  const InterestId id = next_interest.fetch_add(1, std::memory_order_relaxed);
   it->second.interest[partition]->Add(id, std::move(filter));
-  interests_.emplace(id, Interest{topic, partition, 0, 0});
+  interests_.emplace(id, Interest{topic, partition, 0, nullptr});
   return id;
 }
 
@@ -338,49 +222,42 @@ bool Broker::RemoveInterest(InterestId id) {
   if (it == interests_.end()) {
     return false;
   }
-  Interest& interest = it->second;
-  if (interest.ticket != 0) {
-    waiter_index_.erase(interest.ticket);  // Cancel without firing.
-  }
-  auto t = topics_.find(interest.topic);
-  if (t != topics_.end() && interest.partition < t->second.config.partitions) {
-    t->second.interest[interest.partition]->Remove(id);
-  }
+  // The parked wakeup, if any, goes with the registration unfired.
+  topics_.at(it->second.topic).interest[it->second.partition]->Remove(id);
   interests_.erase(it);
   return true;
 }
 
-Broker::WaitTicket Broker::WaitForMatch(InterestId id, Offset offset, std::function<void()> fn) {
+bool Broker::WaitForMatch(InterestId id, Offset offset, std::function<void()> fn) {
   auto in = interests_.find(id);
   if (in == interests_.end()) {
-    return 0;
+    return false;
   }
   Interest& interest = in->second;
-  auto t = topics_.find(interest.topic);
-  if (t == topics_.end() || interest.partition >= t->second.config.partitions) {
-    return 0;
-  }
-  const PartitionLog& log = *t->second.partitions[interest.partition];
-  const Filter* filter = t->second.interest[interest.partition]->FilterOf(id);
-  if (filter != nullptr && log.end_offset() > offset) {
-    // A matching record may already be retained at or past `offset`: fire
-    // immediately with no registration, mirroring WaitForAppend. The common
-    // caller parks only once caught up, so this probe is usually empty.
+  interest.wakeup = nullptr;  // Every wait replaces the parked one.
+  const Topic& t = topics_.at(interest.topic);
+  const PartitionLog& log = *t.partitions[interest.partition];
+  if (log.end_offset() > offset) {
+    // Something landed at or past `offset`. For a match-all interest that is
+    // a match (a cursor retention passed moves on at its next read); a
+    // filtered one probes for a retained match. The common caller parks only
+    // once caught up, so this branch is usually skipped.
+    const Filter& filter = *t.interest[interest.partition]->FilterOf(id);
     std::vector<StoredMessage> probe;
-    if (log.Read(offset, 1, 0, filter, &probe).matched > 0) {
+    if (filter.MatchesEverything() || log.Read(offset, 1, 0, &filter, &probe).matched > 0) {
       sim_->After(0, std::move(fn));
-      return 0;
+      return false;
     }
   }
-  if (interest.ticket != 0) {
-    waiter_index_.erase(interest.ticket);  // Re-park replaces the old wakeup.
-  }
-  const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(
-      ticket, Waiter{interest.topic, interest.partition, offset, GroupId(), id, std::move(fn)});
-  interest.ticket = ticket;
+  interest.wakeup = std::move(fn);
   interest.wait_offset = offset;
-  return ticket;
+  return true;
+}
+
+std::size_t Broker::PendingWaiters() const {
+  return static_cast<std::size_t>(std::count_if(
+      interests_.begin(), interests_.end(),
+      [](const auto& entry) { return static_cast<bool>(entry.second.wakeup); }));
 }
 
 common::Result<std::size_t> Broker::FetchFilteredInto(const std::string& topic,
@@ -678,16 +555,6 @@ void Broker::Rebalance(const GroupId& id, Group& group, const char* cause) {
     for (BrokerObserver* o : observers_) {
       o->OnRebalance(id, group.generation, members, group.assignment);
     }
-  }
-  // Wake parked rebalance waiters (one-shot, immediate events, ticket order).
-  auto waiters = rebalance_waiters_.find(id);
-  if (waiters != rebalance_waiters_.end()) {
-    for (const WaitTicket ticket : waiters->second) {
-      auto w = waiter_index_.find(ticket);
-      sim_->After(0, std::move(w->second.fn));
-      waiter_index_.erase(w);
-    }
-    rebalance_waiters_.erase(waiters);
   }
 }
 

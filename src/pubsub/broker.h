@@ -12,7 +12,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -83,12 +82,12 @@ class Broker {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
-  // Teardown fires every still-parked long-poll waiter (append and
-  // rebalance) as an immediate simulator event, so event-driven consumers
-  // parked on this broker wake, re-check, and discover the broker is gone
-  // instead of hanging forever. The simulator must outlive the broker (it
-  // does wherever brokers are built: harnesses and ShardCore both destroy
-  // the broker before the sim).
+  // Teardown fires every still-parked WaitForMatch wakeup as an immediate
+  // simulator event, so a subscription parked on this broker wakes,
+  // re-checks, and finds its shard's replacement broker instead of hanging
+  // forever. The simulator must outlive the broker (it does wherever brokers
+  // are built: harnesses and ShardCore both destroy the broker before the
+  // sim).
   ~Broker();
 
   const sim::NodeId& node() const { return node_; }
@@ -96,12 +95,6 @@ class Broker {
   // -- Topics -----------------------------------------------------------------
 
   common::Status CreateTopic(const std::string& topic, TopicConfig config);
-  // Removes a topic (topic delete / failover re-point). Every append waiter
-  // parked on any of its partitions fires immediately — the resync signal;
-  // wakers re-check and observe the topic is gone — and every group bound to
-  // the topic keeps its (now dangling) soft state for the members to discover
-  // on their next join. kNotFound for unknown topics.
-  common::Status RemoveTopic(const std::string& topic);
   bool HasTopic(const std::string& topic) const { return topics_.count(topic) > 0; }
   PartitionId PartitionCount(const std::string& topic) const {
     auto it = topics_.find(topic);
@@ -158,60 +151,47 @@ class Broker {
   Offset EndOffset(const std::string& topic, PartitionId partition) const;
   Offset FirstOffset(const std::string& topic, PartitionId partition) const;
 
-  // -- Filtered subscriptions (the interest-index fanout subsystem) -------------
+  // -- Interests: the one wakeup path (the interest-index fanout subsystem) -----
   //
-  // A filtered consumer registers its interest — (topic, partition, Filter) —
-  // once, then parks one-shot WaitForMatch wakeups against it. Appends are
-  // dispatched through the partition's InterestIndex, so only consumers whose
-  // filters match the appended record wake: append-time fanout work is
-  // O(matching subscriptions), not O(all sessions). Catch-up reads go through
+  // A subscriber registers its interest — (topic, partition, Filter), the
+  // match-all Filter{} for an unfiltered subscriber — once, then parks
+  // one-shot WaitForMatch wakeups against it. Appends are dispatched through
+  // the partition's InterestIndex, so only subscribers whose filters match
+  // the appended record wake: append-time fanout work is O(matching
+  // subscriptions), not O(all sessions). Catch-up reads go through
   // FetchFilteredInto (above), which evaluates the filter broker-side and
   // returns only matching records plus a scan-resume cursor.
 
   using InterestId = std::uint64_t;
-  using WaitTicket = std::uint64_t;  // Shared with the long-poll wakeups below.
 
   // Registers a filter; returns 0 for an unknown topic/partition. An
-  // interest survives until RemoveInterest (or topic removal). Interests
-  // with identical canonical filters share one index lane (subgrouping).
+  // interest survives until RemoveInterest or the broker's teardown.
+  // Interests with identical canonical filters share one index lane
+  // (subgrouping), so every match-all interest on a partition costs one.
+  // Ids are unique across every Broker in the process and never reused, so
+  // HasInterest on a replacement broker cannot mistake another instance's
+  // registration for its own.
   InterestId AddInterest(const std::string& topic, PartitionId partition, Filter filter);
-  // Deregisters, cancelling any parked WaitForMatch wakeup without firing
-  // it. Returns false for unknown ids (harmless after topic removal).
+  bool HasInterest(InterestId id) const { return interests_.count(id) > 0; }
+  // Deregisters, dropping any parked WaitForMatch wakeup without firing it.
+  // Returns false for unknown ids (harmless, e.g. after a failover replaced
+  // the broker that held the registration).
   bool RemoveInterest(InterestId id);
-  // Parks `fn` (one-shot, fired as an immediate event) until a record at or
-  // past `offset` matching the interest's filter is appended. If such a
-  // record is already retained, fires immediately and returns 0, mirroring
-  // WaitForAppend. Tickets share WaitForAppend's namespace: CancelWait works
-  // on them and broker teardown fires them. At most one wakeup is parked per
-  // interest; a re-park replaces (cancels) the previous one.
-  WaitTicket WaitForMatch(InterestId id, Offset offset, std::function<void()> fn);
-  // Outstanding interest registrations (tests/leak checks, the filtered
-  // analogue of PendingWaiters).
+  // Parks `fn` (one-shot, fired as an immediate event, never inline) until a
+  // record at or past `offset` matching the interest's filter is appended.
+  // If such a record is already retained — for a match-all interest, if
+  // anything was appended at or past `offset` — `fn` is scheduled at once
+  // instead. At most one wakeup is parked per interest: each call drops the
+  // one parked before it. Returns true if `fn` is parked; false if it was
+  // scheduled at once, or if `id` is unknown (then `fn` is dropped).
+  bool WaitForMatch(InterestId id, Offset offset, std::function<void()> fn);
+  // Outstanding interest registrations, and the parked wakeups among them
+  // (tests/leak checks).
   std::size_t PendingInterests() const { return interests_.size(); }
+  std::size_t PendingWaiters() const;
   // Read-only view of a partition's interest index (oracle/bench
   // introspection); nullptr if unknown.
   const InterestIndex* Interests(const std::string& topic, PartitionId partition) const;
-
-  // -- Long-poll wakeups (the event-driven delivery subsystem) ------------------
-  //
-  // Instead of sleeping on a poll timer, an event-driven consumer parks a
-  // wakeup on the broker: WaitForAppend registers `fn` to run — as an
-  // immediate simulator event, preserving deterministic ordering — as soon as
-  // `partition` holds a message at or past `offset` (end_offset > offset).
-  // If data is already available the wakeup fires immediately. Wakeups are
-  // one-shot: a fired waiter is deregistered and must re-arm. Returns 0 (no
-  // registration) for an unknown topic/partition; CancelWait on a fired or
-  // unknown ticket is a harmless no-op returning false.
-  WaitTicket WaitForAppend(const std::string& topic, PartitionId partition, Offset offset,
-                           std::function<void()> fn);
-  // Fires (one-shot, as an immediate event) on the group's next rebalance —
-  // how an event-driven group consumer learns its assignment changed without
-  // polling for the generation. Always registers, even for a group that does
-  // not exist yet (a joining member may park before its join lands).
-  WaitTicket WaitForRebalance(const GroupId& group, std::function<void()> fn);
-  bool CancelWait(WaitTicket ticket);
-  // Outstanding registrations (tests/leak checks).
-  std::size_t PendingWaiters() const { return waiter_index_.size(); }
 
   // -- Consumer groups ----------------------------------------------------------
 
@@ -354,41 +334,23 @@ class Broker {
   void EnforceRetention();
   void SweepDeadMembers();
   void Rebalance(const GroupId& id, Group& group, const char* cause);
-  // Fires (and deregisters) every append waiter on (topic, partition) whose
-  // target offset is now available, i.e. offset < end.
-  void NotifyAppendWaiters(const std::string& topic, PartitionId partition, Offset end);
 
   // The one append body: stamps `run` (moved from), appends it to
-  // `partition` as one run, wakes the partition's append waiters once and
-  // dispatches the run's retained records to the interest index. Returns the
-  // run's first offset.
-  Offset AppendRun(const std::string& topic, Topic& t, PartitionId partition,
-                   std::span<Message> run);
+  // `partition` as one run and dispatches the run's retained records to the
+  // interest index. Returns the run's first offset.
+  Offset AppendRun(Topic& t, PartitionId partition, std::span<Message> run);
 
   // Fires parked WaitForMatch wakeups whose filters match a record appended
   // to (topic, partition) at or past offset `first` — the O(matching) append
   // fanout path.
   void DispatchInterests(Topic& t, PartitionId partition, Offset first);
 
-  // One parked long-poll wakeup. Exactly one key is meaningful: data waiters
-  // carry (topic, partition, offset); rebalance waiters carry the group id;
-  // filtered match waiters carry an interest id (plus topic/partition for
-  // observability).
-  struct Waiter {
-    std::string topic;
-    PartitionId partition = 0;
-    Offset offset = 0;
-    GroupId group;
-    InterestId interest = 0;
-    std::function<void()> fn;
-  };
-
-  // One registered filtered interest and its (at most one) parked wakeup.
+  // One registered interest and its (at most one) parked wakeup.
   struct Interest {
     std::string topic;
     PartitionId partition = 0;
-    WaitTicket ticket = 0;  // Parked WaitForMatch ticket; 0 = none.
     Offset wait_offset = 0;
+    std::function<void()> wakeup;  // Parked WaitForMatch callback; empty = none.
   };
 
   sim::Simulator* sim_;
@@ -401,17 +363,8 @@ class Broker {
   std::unique_ptr<sim::PeriodicTask> maintenance_;
   obs::Collector* obs_ = nullptr;
   std::size_t obs_shard_ = 0;
-  // The waiter registry. waiter_index_ owns the waiters; the per-partition
-  // and per-group maps index into it by ticket so the append hot path only
-  // touches its own partition's parked set.
-  std::map<WaitTicket, Waiter> waiter_index_;
-  std::map<std::pair<std::string, PartitionId>, std::map<WaitTicket, Offset>> append_waiters_;
-  std::map<GroupId, std::set<WaitTicket>> rebalance_waiters_;
-  WaitTicket next_wait_ticket_ = 1;
-  // Filtered-interest registry; ids are globally unique across the broker so
-  // they double as InterestIndex subscriber ids.
+  // The interest registry, in id order (teardown fires in that order).
   std::map<InterestId, Interest> interests_;
-  InterestId next_interest_ = 1;
   // Fanout metric counters, resolved once in set_obs (nullptr when no obs).
   common::Counter* fanout_wakeups_ = nullptr;
   common::Counter* fanout_appends_matched_ = nullptr;

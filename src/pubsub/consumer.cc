@@ -20,51 +20,15 @@ GroupConsumer::GroupConsumer(sim::Simulator* sim, sim::Network* net, Broker* bro
   }
 }
 
-GroupConsumer::~GroupConsumer() {
-  // Neutralize any parked wakeups / in-flight pump events without the side
-  // effects of Stop() (leaving the group is an explicit act, not teardown).
-  *alive_ = false;
-  CancelWaits();
-}
-
-std::function<void()> GroupConsumer::WakeFn() {
-  auto alive = alive_;
-  return [this, alive] {
-    if (*alive) {
-      Pump();
-    }
-  };
-}
-
-void GroupConsumer::SchedulePump(common::TimeMicros delay) { sim_->After(delay, WakeFn()); }
-
-void GroupConsumer::CancelWaits() {
-  for (Broker::WaitTicket ticket : wait_tickets_) {
-    (void)broker_->CancelWait(ticket);
-  }
-  wait_tickets_.clear();
-}
-
 void GroupConsumer::Start() {
   if (running_) {
     return;
   }
   running_ = true;
-  *alive_ = false;  // Orphan callbacks from a previous Start/Stop cycle.
-  alive_ = std::make_shared<bool>(true);
   if (net_->Reachable(member_, broker_->node())) {
     (void)broker_->JoinGroup(group_, topic_, member_);
   }
-  if (options_.event_driven) {
-    // The periodic slot becomes a coarse safety-net sweep: it catches any
-    // wakeup path that forgot to ring and resumes after outages heal.
-    poll_task_ =
-        std::make_unique<sim::PeriodicTask>(sim_, options_.heartbeat_period, [this] { Pump(); });
-    SchedulePump(0);
-  } else {
-    poll_task_ =
-        std::make_unique<sim::PeriodicTask>(sim_, options_.poll_period, [this] { Poll(); });
-  }
+  poll_task_ = std::make_unique<sim::PeriodicTask>(sim_, options_.poll_period, [this] { Poll(); });
   heartbeat_task_ = std::make_unique<sim::PeriodicTask>(sim_, options_.heartbeat_period,
                                                         [this] { SendHeartbeat(); });
 }
@@ -74,8 +38,6 @@ void GroupConsumer::Stop() {
     return;
   }
   running_ = false;
-  *alive_ = false;
-  CancelWaits();
   poll_task_.reset();
   heartbeat_task_.reset();
   if (net_->Reachable(member_, broker_->node())) {
@@ -85,18 +47,13 @@ void GroupConsumer::Stop() {
 
 void GroupConsumer::OnCrash() {
   // Node is already marked down by the injector; in-memory delivery state is
-  // lost (anything delivered-but-uncommitted will be redelivered). Parked
-  // wakeups die with the process image.
+  // lost (anything delivered-but-uncommitted will be redelivered).
   delivery_attempts_.clear();
-  CancelWaits();
 }
 
 void GroupConsumer::OnRestart() {
   if (running_ && net_->Reachable(member_, broker_->node())) {
     (void)broker_->JoinGroup(group_, topic_, member_);
-    if (options_.event_driven) {
-      SchedulePump(0);
-    }
   }
 }
 
@@ -123,14 +80,13 @@ void GroupConsumer::PruneStaleDeliveryState(std::uint64_t generation,
   }
 }
 
-bool GroupConsumer::DrainPartition(PartitionId partition, std::size_t* budget) {
+void GroupConsumer::DrainPartition(PartitionId partition, std::size_t* budget) {
   const Offset committed = broker_->CommittedOffset(group_, partition);
   auto batch = broker_->Fetch(topic_, partition, committed, *budget);
   if (!batch.ok()) {
-    return false;
+    return;
   }
   Offset commit_to = committed;
-  bool nack_blocked = false;
   for (const StoredMessage& m : *batch) {
     // Trace stamps happen on a local copy: the stored message is shared
     // log state and deliver/ack times are per-consumer.
@@ -169,7 +125,6 @@ bool GroupConsumer::DrainPartition(PartitionId partition, std::size_t* budget) {
       delivery_attempts_[partition].erase(m.offset);
       continue;
     }
-    nack_blocked = true;
     break;  // Head-of-line: retry this partition from the nack later.
   }
   // One commit per drained batch (not per message): same committed frontier,
@@ -177,7 +132,6 @@ bool GroupConsumer::DrainPartition(PartitionId partition, std::size_t* budget) {
   if (commit_to > committed) {
     broker_->CommitOffset(group_, partition, commit_to);
   }
-  return nack_blocked;
 }
 
 void GroupConsumer::Poll() {
@@ -201,64 +155,6 @@ void GroupConsumer::Poll() {
   }
 }
 
-void GroupConsumer::Pump() {
-  if (!running_ || !options_.event_driven) {
-    return;
-  }
-  // Re-arm from scratch each round: any still-parked tickets are stale (a
-  // wakeup already fired, or the safety net got here first), so a spurious
-  // extra pump is at worst a no-op fetch.
-  CancelWaits();
-  if (!net_->Reachable(member_, broker_->node())) {
-    return;  // The safety-net sweep retries after the outage heals.
-  }
-  const std::uint64_t generation = broker_->GroupGeneration(group_);
-  std::vector<PartitionId> assigned = broker_->AssignedPartitions(group_, member_, generation);
-  PruneStaleDeliveryState(generation, assigned);
-  if (assigned.empty()) {
-    (void)broker_->JoinGroup(group_, topic_, member_);
-    // Park on the group: the join's own rebalance (or a later one, once the
-    // coordinator admits us) pumps again.
-    wait_tickets_.push_back(broker_->WaitForRebalance(group_, WakeFn()));
-    return;
-  }
-  std::size_t budget = options_.max_poll_messages;
-  std::set<PartitionId> blocked;
-  for (PartitionId p : assigned) {
-    if (budget == 0) {
-      break;
-    }
-    if (DrainPartition(p, &budget)) {
-      blocked.insert(p);
-    }
-  }
-  if (budget == 0) {
-    // Batch cap hit with data likely remaining: yield and re-pump as a fresh
-    // immediate event so co-scheduled work at this instant interleaves.
-    SchedulePump(0);
-    return;
-  }
-  // Caught up: park a data wakeup on every assigned partition plus a
-  // rebalance wakeup on the group. A nack-blocked partition has data
-  // available *now* — a data waiter would fire immediately and spin at this
-  // instant — so it instead retries on the poll_period redelivery timer,
-  // keeping event-driven redelivery pacing identical to periodic mode.
-  for (PartitionId p : assigned) {
-    if (blocked.count(p) > 0) {
-      continue;
-    }
-    const Broker::WaitTicket ticket =
-        broker_->WaitForAppend(topic_, p, broker_->CommittedOffset(group_, p), WakeFn());
-    if (ticket != 0) {
-      wait_tickets_.push_back(ticket);
-    }
-  }
-  wait_tickets_.push_back(broker_->WaitForRebalance(group_, WakeFn()));
-  if (!blocked.empty()) {
-    SchedulePump(options_.poll_period);
-  }
-}
-
 FreeConsumer::FreeConsumer(sim::Simulator* sim, sim::Network* net, Broker* broker,
                            std::string topic, sim::NodeId node, MessageHandler handler,
                            ConsumerOptions options, StartAt start_at)
@@ -275,50 +171,16 @@ FreeConsumer::FreeConsumer(sim::Simulator* sim, sim::Network* net, Broker* broke
   }
 }
 
-FreeConsumer::~FreeConsumer() {
-  *alive_ = false;
-  CancelWaits();
-}
-
-std::function<void()> FreeConsumer::WakeFn() {
-  auto alive = alive_;
-  return [this, alive] {
-    if (*alive) {
-      Pump();
-    }
-  };
-}
-
-void FreeConsumer::SchedulePump(common::TimeMicros delay) { sim_->After(delay, WakeFn()); }
-
-void FreeConsumer::CancelWaits() {
-  for (Broker::WaitTicket ticket : wait_tickets_) {
-    (void)broker_->CancelWait(ticket);
-  }
-  wait_tickets_.clear();
-}
-
 void FreeConsumer::Start() {
   if (running_) {
     return;
   }
   running_ = true;
-  *alive_ = false;
-  alive_ = std::make_shared<bool>(true);
-  if (options_.event_driven) {
-    poll_task_ =
-        std::make_unique<sim::PeriodicTask>(sim_, options_.heartbeat_period, [this] { Pump(); });
-    SchedulePump(0);
-  } else {
-    poll_task_ =
-        std::make_unique<sim::PeriodicTask>(sim_, options_.poll_period, [this] { Poll(); });
-  }
+  poll_task_ = std::make_unique<sim::PeriodicTask>(sim_, options_.poll_period, [this] { Poll(); });
 }
 
 void FreeConsumer::Stop() {
   running_ = false;
-  *alive_ = false;
-  CancelWaits();
   poll_task_.reset();
 }
 
@@ -385,32 +247,6 @@ void FreeConsumer::Poll() {
   DiscoverPartitions();
   std::size_t budget = options_.max_poll_messages;
   Drain(&budget);
-}
-
-void FreeConsumer::Pump() {
-  if (!running_ || !options_.event_driven) {
-    return;
-  }
-  CancelWaits();
-  if (!net_->Reachable(node_, broker_->node())) {
-    return;  // Safety-net sweep retries after the outage heals.
-  }
-  DiscoverPartitions();
-  std::size_t budget = options_.max_poll_messages;
-  Drain(&budget);
-  if (budget == 0) {
-    SchedulePump(0);
-    return;
-  }
-  // Caught up: park a wakeup per known partition. Partitions added while
-  // parked have no waiter yet — the safety-net sweep discovers them.
-  for (const auto& [partition, position] : positions_) {
-    const Broker::WaitTicket ticket =
-        broker_->WaitForAppend(topic_, partition, position, WakeFn());
-    if (ticket != 0) {
-      wait_tickets_.push_back(ticket);
-    }
-  }
 }
 
 }  // namespace pubsub

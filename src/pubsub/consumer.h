@@ -10,15 +10,9 @@
 //    entire feed, which is the non-scalable fallback Section 3.2.2 describes
 //    cache servers using.
 //
-// Both support two delivery modes, selected by ConsumerOptions::event_driven:
-//
-//  * periodic (default) — the classic poll loop: fetch every poll_period.
-//    Latency floors at ~poll_period/2 regardless of load.
-//  * event-driven — drain immediately while data is available, then park a
-//    long-poll wakeup on the broker (WaitForAppend / WaitForRebalance) and a
-//    coarse heartbeat-period sweep as a safety net. Delivery *sequences* are
-//    identical to periodic mode (same log order, same ack gating); only the
-//    simulated times differ.
+// Both poll: they fetch every poll_period, so delivery latency floors at
+// ~poll_period/2 regardless of load — the paper's polling baseline. The
+// push path is the runtime's (runtime::Subscription).
 //
 // Both are simulated-network nodes: while a consumer's node is down or
 // partitioned from the broker it makes no progress, and its backlog grows.
@@ -50,11 +44,6 @@ struct ConsumerOptions {
   // make progress. 0 disables redelivery limiting.
   std::uint32_t max_redeliveries = 0;
   std::string dead_letter_topic;
-  // Event-driven delivery: instead of sleeping poll_period between fetches,
-  // drain while data is available and park a broker wakeup when caught up
-  // (heartbeat_period acts as the safety-net sweep; nacked head-of-line
-  // messages still retry on poll_period so redelivery pacing is unchanged).
-  bool event_driven = false;
   // Observability sink: when set, the consumer stamps deliver/ack stages on
   // traced messages and completes their pubsub-path traces into the
   // collector (tagged with `obs_shard`'s histogram family).
@@ -71,7 +60,6 @@ class GroupConsumer {
   GroupConsumer(sim::Simulator* sim, sim::Network* net, Broker* broker, GroupId group,
                 std::string topic, MemberId member, MessageHandler handler,
                 ConsumerOptions options = {});
-  ~GroupConsumer();
 
   GroupConsumer(const GroupConsumer&) = delete;
   GroupConsumer& operator=(const GroupConsumer&) = delete;
@@ -92,24 +80,17 @@ class GroupConsumer {
   std::uint64_t dead_lettered() const { return dead_lettered_; }
 
  private:
-  void Poll();                                      // Periodic mode.
-  void Pump();                                      // Event-driven mode.
+  void Poll();
   // Fetches one batch from the partition's committed offset, delivers it,
-  // and commits once for the whole drained batch. Returns true if the
-  // partition is head-of-line blocked on a nacked message (data available
-  // but not deliverable until the redelivery retry).
-  bool DrainPartition(PartitionId partition, std::size_t* budget);
+  // and commits once for the whole drained batch. A nacked message stops
+  // the batch (head-of-line) until the next poll's redelivery.
+  void DrainPartition(PartitionId partition, std::size_t* budget);
   // On a generation change, drops redelivery counters for partitions this
   // member no longer owns — they describe the *previous* owner epoch, and
   // keeping them would fast-forward a later re-assignment of the same
   // partition straight to the dead-letter path.
   void PruneStaleDeliveryState(std::uint64_t generation,
                                const std::vector<PartitionId>& assigned);
-  void CancelWaits();
-  // A pump callback guarded against use after Stop()/destruction (parked
-  // wakeups and scheduled events can outlive this object).
-  std::function<void()> WakeFn();
-  void SchedulePump(common::TimeMicros delay);
   void SendHeartbeat();
 
   sim::Simulator* sim_;
@@ -127,8 +108,6 @@ class GroupConsumer {
   std::uint64_t delivered_ = 0;
   std::uint64_t delivered_bytes_ = 0;
   std::uint64_t dead_lettered_ = 0;
-  std::vector<Broker::WaitTicket> wait_tickets_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::unique_ptr<sim::PeriodicTask> poll_task_;
   std::unique_ptr<sim::PeriodicTask> heartbeat_task_;
 };
@@ -140,7 +119,6 @@ class FreeConsumer {
   FreeConsumer(sim::Simulator* sim, sim::Network* net, Broker* broker, std::string topic,
                sim::NodeId node, MessageHandler handler, ConsumerOptions options = {},
                StartAt start_at = StartAt::kEarliest);
-  ~FreeConsumer();
 
   FreeConsumer(const FreeConsumer&) = delete;
   FreeConsumer& operator=(const FreeConsumer&) = delete;
@@ -154,8 +132,7 @@ class FreeConsumer {
   std::uint64_t Backlog() const;
 
  private:
-  void Poll();                        // Periodic mode.
-  void Pump();                        // Event-driven mode.
+  void Poll();
   void Drain(std::size_t* budget);
   // Adopts partitions this consumer has not seen yet. Runs on *every* poll:
   // topics grow (Broker::AddPartitions), and a one-shot discovery would
@@ -163,9 +140,6 @@ class FreeConsumer {
   // contact honour start_at_; later arrivals are consumed from their first
   // offset ("latest" predates a partition that did not exist yet).
   void DiscoverPartitions();
-  void CancelWaits();
-  std::function<void()> WakeFn();
-  void SchedulePump(common::TimeMicros delay);
 
   sim::Simulator* sim_;
   sim::Network* net_;
@@ -181,8 +155,6 @@ class FreeConsumer {
   std::map<PartitionId, Offset> positions_;
   std::uint64_t delivered_ = 0;
   std::uint64_t delivered_bytes_ = 0;
-  std::vector<Broker::WaitTicket> wait_tickets_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   std::unique_ptr<sim::PeriodicTask> poll_task_;
 };
 

@@ -300,7 +300,7 @@ std::unique_ptr<Subscription> ConcurrentBroker::Subscribe(const std::string& top
   shared->handoff_capacity = options.handoff_capacity == 0 ? 1 : options.handoff_capacity;
   shared->shard_batch = options.shard_batch == 0 ? 1 : options.shard_batch;
   shared->wake_coalesce_us = options.wake_coalesce_us;
-  shared->filter = std::move(options.filter);
+  shared->filter = std::move(options.filter).value_or(pubsub::Filter{});
   shared->policy = options.slow_consumer;
   shared->wakeup_latency = &pool_->metrics().histogram("runtime.wakeup_latency_us");
   shared->rings = &pool_->metrics().counter("runtime.doorbell_rings");
@@ -309,7 +309,8 @@ std::unique_ptr<Subscription> ConcurrentBroker::Subscribe(const std::string& top
   shared->disconnect_count = &pool_->metrics().counter("runtime.slow_consumer.disconnects");
   shared->obs = pool_->options().obs;
   auto sub = std::unique_ptr<Subscription>(new Subscription(pool_, shard, shared));
-  // First pump adopts the backlog (if any) and parks the shard-side waiter.
+  // First pump registers the interest, adopts the backlog (if any) and
+  // parks the interest's wakeup.
   pool_->Post(shard, [shared] { Subscription::PumpShard(shared); });
   return sub;
 }

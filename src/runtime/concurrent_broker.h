@@ -66,6 +66,7 @@ class ConcurrentBroker {
   // owner shard is saturated or failing over they return kUnavailable and
   // `retry_after` (if non-null) receives a nonzero, depth-scaled backoff in
   // MICROSECONDS that callers may sleep verbatim (ShardPool::Backpressure).
+  // On a stopped pool they return kFailedPrecondition with a 0 hint.
   // Refused records count in runtime.publish_rejected; accepted ones count in
   // runtime.publish_accepted and are never dropped. TryPublishAsync calls
   // `done` (may be empty) on the owner shard's thread with the assigned

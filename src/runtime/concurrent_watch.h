@@ -55,7 +55,8 @@ class ConcurrentWatchService : public watch::Watchable, public watch::Ingester {
   // -- Ingest -------------------------------------------------------------------
 
   // Non-blocking ingest with explicit backpressure: kUnavailable (with a
-  // retry-after hint) when the owning shard is saturated. The rejection is
+  // retry-after hint) when the owning shard is saturated, kFailedPrecondition
+  // (no hint) when the pool is stopped. The rejection is
   // loud *to the feeder* — the event is not accepted, the authoritative store
   // still holds it, and per-key order is preserved as long as the feeder
   // retries before advancing (the usual CDC discipline).

@@ -195,16 +195,23 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
 
 common::Status ShardPool::Backpressure(std::size_t shard, const char* why,
                                        common::TimeMicros* retry_after) const {
-  const common::TimeMicros backoff = RetryAfterHint(shard);
+  const bool stopped = !running();
+  const common::TimeMicros backoff = stopped ? 0 : RetryAfterHint(shard);
   if (retry_after != nullptr) {
     *retry_after = backoff;
+  }
+  if (stopped) {
+    return common::Status::FailedPrecondition("shard pool stopped");
   }
   return common::Status::Unavailable("shard " + std::to_string(shard) + " " + why +
                                      "; retry after " + std::to_string(backoff) + "us");
 }
 
 bool ShardPool::TryPost(std::size_t shard, Task task) {
-  if (!running_.load(std::memory_order_acquire) || !queues_[shard]->TryPush(std::move(task))) {
+  if (!running()) {
+    return false;
+  }
+  if (!queues_[shard]->TryPush(std::move(task))) {
     post_rejected_->Increment();
     return false;
   }
@@ -309,7 +316,7 @@ common::Status ShardPool::FailoverShard(std::size_t shard) {
       return;
     }
     // Build the replacement before destroying the old pair: ~Broker fires
-    // every parked waiter as an immediate sim event, and those wakeups
+    // every parked wakeup as an immediate sim event, and those wakeups
     // re-resolve the shard's broker through the pool — they must find the
     // new one.
     std::unique_ptr<pubsub::Broker> old_broker = std::move(core.broker);
@@ -330,7 +337,7 @@ common::Status ShardPool::FailoverShard(std::size_t shard) {
     }
     // The journal observes the broker it was opened with: detach it first.
     old_journal.reset();
-    old_broker.reset();  // Parked waiters fire here; RunFenced's post-fn
+    old_broker.reset();  // Parked wakeups fire here; RunFenced's post-fn
                          // flush runs them against the new broker.
     failing_over_[shard]->store(false, std::memory_order_release);
     metrics_->counter("runtime.failovers").Increment();

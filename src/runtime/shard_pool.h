@@ -20,6 +20,8 @@
 // full (callers surface Backpressure()'s kUnavailable and retry-after hint,
 // and the rejection is counted in the MetricsRegistry); Post blocks, which is
 // the synchronous callers' form of backpressure. Nothing is silently dropped.
+// A stopped pool is not backpressure: TryPost fails uncounted there, and
+// Backpressure() says the pool is stopped.
 #ifndef SRC_RUNTIME_SHARD_POOL_H_
 #define SRC_RUNTIME_SHARD_POOL_H_
 
@@ -168,12 +170,13 @@ class ShardPool {
 
   // Replicated durable mode only: fails the shard's current durable leader
   // over to its most caught-up follower, mid-traffic. Runs fenced: the old
-  // broker+journal are torn down (parked waiters fire and re-arm against the
-  // replacement), the promoted follower's WAL tree is recovered into a fresh
-  // broker — truncating any unacked torn tail — and the surviving followers
-  // re-point at the new leader. Producers racing the fence see kUnavailable
-  // with a retry hint (ShardFailingOver). kFailedPrecondition without
-  // replication; otherwise the recovery status of the promoted tree.
+  // broker+journal are torn down (parked wakeups fire, and their
+  // subscriptions re-register and re-park on the replacement), the promoted
+  // follower's WAL tree is recovered into a fresh broker — truncating any
+  // unacked torn tail — and the surviving followers re-point at the new
+  // leader. Producers racing the fence see kUnavailable with a retry hint
+  // (ShardFailingOver). kFailedPrecondition without replication; otherwise
+  // the recovery status of the promoted tree.
   common::Status FailoverShard(std::size_t shard);
 
   // True while FailoverShard is tearing the shard's broker down; lock-free.
@@ -195,16 +198,18 @@ class ShardPool {
   // the base, a full ring the ceiling.
   common::TimeMicros RetryAfterHint(std::size_t shard) const;
 
-  // The one backpressure reply of every non-blocking path (the publishes,
-  // TryFetchAsync, TryCommitAsync, TryIngest): kUnavailable naming the shard
-  // and `why` ("saturated" or "failing over"), with RetryAfterHint(shard)
-  // also stored in `retry_after` when non-null. Call it on refusal only: the
-  // hint reads the shard's ring depth at that moment.
+  // The one refusal reply of every non-blocking path (the publishes,
+  // TryFetchAsync, TryCommitAsync, TryIngest). While the pool runs:
+  // kUnavailable naming the shard and `why` ("saturated" or "failing over"),
+  // with RetryAfterHint(shard) also stored in `retry_after` when non-null.
+  // Call it on refusal only: the hint reads the shard's ring depth at that
+  // moment. A stopped pool will never drain, so it answers
+  // kFailedPrecondition with a 0 hint: retrying cannot help.
   common::Status Backpressure(std::size_t shard, const char* why,
                               common::TimeMicros* retry_after) const;
 
   // Non-blocking enqueue; false when the shard is saturated (counted as
-  // runtime.post_rejected) or the pool is stopped.
+  // runtime.post_rejected) or the pool is stopped (not counted).
   bool TryPost(std::size_t shard, Task task);
 
   // Blocking enqueue. If the pool is stopped, runs the task inline on the

@@ -18,9 +18,6 @@ std::int64_t SteadyMicros() {
 // between rounds).
 constexpr std::size_t kScanChunk = 4096;
 
-// The read filter of an unfiltered subscription.
-const pubsub::Filter kEveryRecord;
-
 }  // namespace
 
 Subscription::~Subscription() {
@@ -30,23 +27,15 @@ Subscription::~Subscription() {
     self->detached = true;
   }
   self->bell.Signal();  // Unpark a consumer blocked in Wait on another thread.
-  // Stand the shard side down on its own thread. A wakeup already in flight
-  // is harmless: its closure owns `self` and checks `detached`.
+  // Stand the shard side down on its own thread: dropping the interest drops
+  // its parked wakeup unfired. A registration on a broker that failover
+  // already destroyed died with it, and the current broker does not know its
+  // id. A wakeup already in flight is harmless: its closure owns `self` and
+  // checks `detached`.
   pool_->Post(shard_, [self] {
     std::lock_guard<std::mutex> lock(self->mu);
-    pubsub::Broker* broker = self->pool->core(self->shard).broker.get();
-    if (self->ticket != 0) {
-      (void)broker->CancelWait(self->ticket);
-      self->ticket = 0;
-    }
-    // Drop the filtered-interest registration — but only if it lives on the
-    // shard's *current* broker; a registration on a broker that failover
-    // already destroyed died with it.
-    if (self->interest_id != 0 && self->interest_broker == broker) {
-      (void)broker->RemoveInterest(self->interest_id);
-    }
-    self->interest_id = 0;
-    self->interest_broker = nullptr;
+    (void)self->pool->core(self->shard).broker->RemoveInterest(self->interest);
+    self->interest = 0;
   });
 }
 
@@ -125,17 +114,15 @@ void Subscription::FinishCut(const std::shared_ptr<Shared>& shared) {
 void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
   Shared& s = *shared;
   // Re-resolve the shard's current broker: after a failover this is the
-  // replacement, and the waiter wakeup that brought us here was fired by the
-  // old broker's teardown — re-arming below continues the stream seamlessly.
+  // replacement, and the wakeup that brought us here was fired by the old
+  // broker's teardown — re-registering and re-parking below continue the
+  // stream seamlessly.
   pubsub::Broker* broker = s.pool->core(s.shard).broker.get();
   std::size_t space;
   pubsub::Offset cursor;
   bool probe = false;
   {
     std::lock_guard<std::mutex> lock(s.mu);
-    // A fired waiter is already deregistered broker-side; clear before the
-    // detached check so teardown never cancels a recycled ticket id.
-    s.ticket = 0;
     if (s.detached || s.broken) {
       return;
     }
@@ -155,13 +142,13 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
           space = s.shard_batch;
           break;
         case SlowConsumerPolicy::kDisconnect:
-          // A fired waiter with no room is a genuine overflow only if a
+          // A fired wakeup with no room is a genuine overflow only if a
           // record is actually pending past the cursor: a failover's broker
-          // teardown fires every parked waiter too, carrying no data — just
+          // teardown fires every parked wakeup too, carrying no data — just
           // the swap. So read the shard's CURRENT broker with room for one
           // record and cut only if one comes back; a no-data fire falls
-          // through to re-arm on the replacement. (A buffer that merely
-          // *reached* capacity re-arms the same way — the consumer may still
+          // through to re-park on the replacement. (A buffer that merely
+          // *reached* capacity re-parks the same way — the consumer may still
           // drain in time — so an idle-but-full subscription is never cut.)
           space = 1;
           probe = true;
@@ -170,15 +157,13 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
     }
   }
   bool pushed_any = false;
-  const bool filtered = s.filter.has_value();
-  if (filtered && s.interest_broker != broker) {
+  if (!broker->HasInterest(s.interest)) {
     // First pump, or failover swapped the shard's broker (the registration
-    // died with the old instance): register the interest here so append-time
-    // dispatch and WaitForMatch know this subscription's filter.
-    s.interest_id = broker->AddInterest(s.topic, s.partition, *s.filter);
-    s.interest_broker = broker;
+    // died with the old instance, and ids never repeat across instances):
+    // register here so append-time dispatch and WaitForMatch know this
+    // subscription's filter.
+    s.interest = broker->AddInterest(s.topic, s.partition, s.filter);
   }
-  const pubsub::Filter& filter = filtered ? *s.filter : kEveryRecord;
   for (;;) {
     // Fetch outside the lock: the broker is shard-confined, the buffer is
     // not, and neither needs the other's protection. The scratch vector is
@@ -190,7 +175,7 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
     pubsub::Offset next = cursor;
     std::uint64_t scanned = 0;
     auto fetched = broker->FetchFilteredInto(s.topic, s.partition, cursor, want, kScanChunk,
-                                             filter, &s.scratch, &next, &scanned);
+                                             s.filter, &s.scratch, &next, &scanned);
     if (!fetched.ok()) {
       break;
     }
@@ -206,7 +191,7 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
       }
       // Always the read's resume cursor: it passes scanned non-matching
       // records and a head that retention moved past the cursor, so no
-      // round can leave the cursor where a re-armed waiter fires again.
+      // round can leave the cursor where a re-parked wakeup fires again.
       cursor = s.cursor = next;
       if (got > 0) {
         const bool was_empty = s.buffer.empty();
@@ -243,9 +228,9 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
             break;
           }
           if (s.policy == SlowConsumerPolicy::kDisconnect) {
-            // Full but not yet overflowed: re-arm below with the buffer at
+            // Full but not yet overflowed: re-park below with the buffer at
             // capacity. If the consumer drains first, nothing happened; if
-            // the waiter fires first (more data, no room), the entry path
+            // the wakeup fires first (more data, no room), the entry path
             // probes and cuts.
             break;
           }
@@ -295,17 +280,12 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
   if (s.detached || s.stalled || s.broken) {
     return;
   }
-  // Caught up: re-arm on the shard broker. If data landed between the last
-  // fetch and here (same thread, so it cannot have), the wait would fire an
-  // immediate pump; either way no append is missed. Filtered subscriptions
-  // park on WaitForMatch, so only a matching append wakes this pump.
+  // Caught up: park on the interest, so only a matching append wakes this
+  // pump. If a match landed between the last fetch and here (same thread, so
+  // it cannot have), the wait would fire an immediate pump; either way no
+  // append is missed.
   auto self = shared;
-  if (filtered) {
-    s.ticket = broker->WaitForMatch(s.interest_id, s.cursor, [self] { PumpShard(self); });
-  } else {
-    s.ticket = broker->WaitForAppend(s.topic, s.partition, s.cursor,
-                                     [self] { PumpShard(self); });
-  }
+  (void)broker->WaitForMatch(s.interest, s.cursor, [self] { PumpShard(self); });
 }
 
 std::size_t Subscription::PollBatch(std::vector<pubsub::StoredMessage>* out, std::size_t max) {

@@ -5,11 +5,12 @@
 // the reply rides a future back. Under load that queue wait — not the log —
 // dominates append→fetch latency (~queue_capacity × per-task cost). A
 // Subscription removes the round trip entirely: the *shard* owns the read
-// cursor. A waiter parked on the shard broker (Broker::WaitForAppend) fires
-// at append time, the shard fetches the new messages into a bounded handoff
-// buffer while still on its own thread — stamping the trace's fetch stage
-// micro­seconds after the append — and rings a host-side Doorbell the
-// consumer thread parks on.
+// cursor. The subscription registers one interest on the shard broker — its
+// filter, or the match-all Filter{} — and parks one wakeup on it
+// (Broker::WaitForMatch). The wakeup fires at the first matching append, the
+// shard fetches the new messages into a bounded handoff buffer while still
+// on its own thread — stamping the trace's fetch stage microseconds after
+// the append — and rings a host-side Doorbell the consumer thread parks on.
 //
 // Flow control: the handoff buffer is bounded, and what happens when a slow
 // consumer fills it is a policy choice (SlowConsumerPolicy):
@@ -81,10 +82,10 @@ struct SubscriptionOptions {
   // sustained load this bounds wakeup context switches to ~1/window instead
   // of one per drain cycle. 0 rings on every empty→nonempty push.
   common::TimeMicros wake_coalesce_us = 500;
-  // Broker-side content filter. When set, the shard registers the filter as
-  // an interest on its broker: the pump reads only matching records into
-  // the handoff buffer and parks on WaitForMatch, so non-matching appends
-  // wake nobody — delivery work is O(matching), not O(all sessions).
+  // Broker-side content filter. When set, the pump reads only matching
+  // records into the handoff buffer and its wakeup fires only on a matching
+  // append, so non-matching appends wake nobody — delivery work is
+  // O(matching), not O(all sessions). Unset subscribes to every record.
   std::optional<pubsub::Filter> filter;
   // Full-handoff-buffer behavior; see SlowConsumerPolicy.
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlock;
@@ -109,8 +110,6 @@ class Subscription {
   // signal — delays a waiter, never strands it.
   bool Wait(common::TimeMicros timeout_us);
 
-  // The broker-side filter this subscription was created with, if any.
-  const std::optional<pubsub::Filter>& filter() const { return shared_->filter; }
   // Next offset the shard will fetch.
   pubsub::Offset cursor() const;
   // Parks that ended with data available.
@@ -156,8 +155,9 @@ class Subscription {
     std::size_t handoff_capacity = 8192;
     std::size_t shard_batch = 256;
     common::TimeMicros wake_coalesce_us = 500;
-    // Broker-side content filter (immutable after Subscribe; empty = none).
-    std::optional<pubsub::Filter> filter;
+    // Broker-side content filter (immutable after Subscribe; Filter{}
+    // matches every record).
+    pubsub::Filter filter;
     SlowConsumerPolicy policy = SlowConsumerPolicy::kBlock;
     common::Histogram* wakeup_latency = nullptr;  // runtime.wakeup_latency_us
     common::Counter* rings = nullptr;             // runtime.doorbell_rings
@@ -188,13 +188,11 @@ class Subscription {
     std::int64_t last_ring_us = 0;
     // Ready hook (see SetReadyHook); invoked right after each bell ring.
     std::function<void()> ready_hook;
-    pubsub::Broker::WaitTicket ticket = 0;  // Shard-confined.
-    // Filtered-interest registration, shard-confined. `interest_broker`
-    // remembers which broker instance holds the registration so the pump
-    // re-registers after a failover swaps the shard's broker (the old
-    // registration died with the old broker).
-    pubsub::Broker::InterestId interest_id = 0;
-    pubsub::Broker* interest_broker = nullptr;
+    // The interest registration, shard-confined (0 = none yet). The pump
+    // re-registers whenever the shard's current broker does not hold it —
+    // after a failover swapped the broker, the old registration died with
+    // the old instance.
+    pubsub::Broker::InterestId interest = 0;
     // Shard-confined fetch scratch: when caught up, every append fires one
     // pump, so the fetch path must not allocate per call. Capacity circulates
     // scratch → buffer → local_ and back through the two swaps.
@@ -205,8 +203,8 @@ class Subscription {
       : pool_(pool), shard_(shard), shared_(std::move(shared)) {}
 
   // Runs on the owner shard's worker only: fetches available messages into
-  // the handoff buffer, rings the bell, and re-arms the append waiter (or
-  // applies the slow-consumer policy on a full buffer).
+  // the handoff buffer, rings the bell, and re-parks the interest's wakeup
+  // (or applies the slow-consumer policy on a full buffer).
   static void PumpShard(const std::shared_ptr<Shared>& shared);
   // kDisconnect finalizer (shard thread): counts the disconnect, logs the
   // kSessionBreak, then marks the subscription broken and wakes the consumer

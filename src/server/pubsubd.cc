@@ -952,7 +952,7 @@ void Server::Teardown(std::uint64_t session_id, const std::string& cause, bool l
     stream->handle->Cancel();
   }
   s->watches.clear();
-  // ~Subscription posts each shard-side waiter cancellation; the handoff
+  // ~Subscription posts each shard-side interest removal; the handoff
   // lanes (and any parked shard pumps) are reclaimed with them.
   s->subs.clear();
   s->fd.Close();

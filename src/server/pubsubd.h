@@ -27,14 +27,14 @@
 //   * Dead peers are detected, loudly: any frame refreshes a session's
 //     liveness clock; a session silent for heartbeat_interval_us *
 //     heartbeat_misses is torn down with an obs kSessionBreak event
-//     ("heartbeat_miss"), its subscriptions' shard-side waiters cancelled,
+//     ("heartbeat_miss"), its subscriptions' shard-side interests removed,
 //     its watch sessions cancelled. Framing-integrity failures
 //     (FrameDecoder errors) and mid-frame EOFs are equally terminal and
 //     equally loud ("frame_error:<kind>", "truncated_frame").
 //
 // Lifecycle: construct over a *started* pool's facades, Start(), serve,
 // Stop() — in that order, and Stop() the server before stopping the pool
-// (session teardown posts waiter cancellations to shard queues).
+// (session teardown posts interest removals to shard queues).
 #ifndef SRC_SERVER_PUBSUBD_H_
 #define SRC_SERVER_PUBSUBD_H_
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -159,139 +157,6 @@ TEST(MetricsRegistryTest, ConcurrentLookupAndRecord) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(reg.counter("shard" + std::to_string(t)).value(), kPerThread);
   }
-}
-
-// Regression (ISSUE 10 satellite): cross-shard percentiles must come from the
-// merged reservoirs, not from averaging per-shard percentiles. Two shards
-// with very different counts and disjoint ranges make the difference stark:
-// shard A records 9900 samples near 1ms, shard B records 100 samples near
-// 100ms. The pooled p50 is ~1ms (the big shard dominates); the average of the
-// two per-shard p50s is ~50ms — off by 50x. Before MergedHistogram existed,
-// the only aggregation available was exactly that wrong average.
-TEST(MergedHistogramTest, PercentilesComeFromMergedReservoirsNotAverages) {
-  Histogram a;
-  Histogram b;
-  for (int i = 0; i < 9900; ++i) {
-    a.Record(1000.0 + (i % 10));  // ~1ms in us.
-  }
-  for (int i = 0; i < 100; ++i) {
-    b.Record(100000.0 + (i % 10));  // ~100ms in us.
-  }
-  MergedHistogram merged;
-  merged.Add(a.Snapshot());
-  merged.Add(b.Snapshot());
-  EXPECT_EQ(merged.count(), 10000u);
-  EXPECT_DOUBLE_EQ(merged.Sum(), a.Sum() + b.Sum());
-  EXPECT_DOUBLE_EQ(merged.Max(), b.Max());
-
-  const double averaged_p50 = (a.Percentile(50) + b.Percentile(50)) / 2.0;
-  // The pooled median sits in the 1ms cluster: 99% of all samples are there.
-  EXPECT_LT(merged.Percentile(50), 2000.0);
-  EXPECT_GT(averaged_p50, 50000.0);  // The shortcut this test outlaws.
-  // The pooled p99.5 must see the slow shard's cluster.
-  EXPECT_GT(merged.Percentile(99.5), 90000.0);
-}
-
-// Unequal reservoir representation: a shard past its reservoir bound carries
-// more recorded values per retained sample. The merge must weight by
-// count/retained, or the small shard's samples are overcounted.
-TEST(MergedHistogramTest, WeightsShardsByCountPerRetainedSample) {
-  Histogram big(/*reservoir_size=*/64);
-  Histogram small(/*reservoir_size=*/64);
-  for (int i = 0; i < 6400; ++i) {
-    big.Record(10.0);  // 6400 recorded, 64 retained: weight 100 each.
-  }
-  for (int i = 0; i < 64; ++i) {
-    small.Record(1000.0);  // 64 recorded, 64 retained: weight 1 each.
-  }
-  MergedHistogram merged;
-  merged.Add(big.Snapshot());
-  merged.Add(small.Snapshot());
-  // 6400 of 6464 pooled values are 10.0 — p90 must be 10, not 1000. An
-  // unweighted concatenation would put the boundary at 50/50 and fail.
-  EXPECT_DOUBLE_EQ(merged.Percentile(90), 10.0);
-  EXPECT_DOUBLE_EQ(merged.Percentile(99.5), 1000.0);
-}
-
-// Regression (ISSUE 10 satellite, TSan-covered): a snapshot racing concurrent
-// records must be internally consistent — the reservoir, count, sum, and max
-// all copied under one lock acquisition. Pre-fix there was no Snapshot();
-// readers stitched count() + Percentile() + retained_samples() together from
-// separate lock acquisitions, and a record landing between two of those calls
-// produced torn aggregates (a sample counted but invisible, or double-seen by
-// a merge — the double-count class). The invariants below catch any tear.
-TEST(MetricsRegistryTest, SnapshotRacingRecordsIsConsistent) {
-  MetricsRegistry reg;
-  constexpr int kWriters = 4;
-  constexpr int kPerThread = 20000;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&reg, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Every sample is 1.0 so `sum == count` is an exact invariant any
-        // torn read would break.
-        reg.histogram("shard" + std::to_string(t)).Record(1.0);
-      }
-    });
-  }
-  std::thread reader([&reg, &stop] {
-    std::uint64_t last_total = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      MergedHistogram merged;
-      std::uint64_t total = 0;
-      for (auto& [name, snap] : reg.SnapshotHistograms("shard")) {
-        // Per-snapshot consistency: retained == min(count, reservoir) and
-        // the exact stats agree with each other.
-        EXPECT_EQ(snap.samples.size(),
-                  std::min<std::uint64_t>(snap.count, Histogram::kDefaultReservoirSize));
-        EXPECT_DOUBLE_EQ(snap.sum, static_cast<double>(snap.count));
-        total += snap.count;
-        merged.Add(snap);
-      }
-      EXPECT_EQ(merged.count(), total);
-      // No double-count: totals only grow, and never past what was written.
-      EXPECT_GE(total, last_total);
-      EXPECT_LE(total, static_cast<std::uint64_t>(kWriters) * kPerThread);
-      last_total = total;
-    }
-  });
-  for (auto& t : writers) {
-    t.join();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  MergedHistogram final_merge;
-  for (auto& [name, snap] : reg.SnapshotHistograms("shard")) {
-    final_merge.Add(snap);
-  }
-  EXPECT_EQ(final_merge.count(), static_cast<std::uint64_t>(kWriters) * kPerThread);
-  EXPECT_DOUBLE_EQ(final_merge.Percentile(99), 1.0);
-}
-
-// SnapshotHistograms holds the registry lock across the walk, so a racing
-// first-touch insert (which rebalances the map) cannot invalidate the
-// iteration — the race histograms() has by contract. TSan-covered.
-TEST(MetricsRegistryTest, SnapshotRacesInsertSafely) {
-  MetricsRegistry reg;
-  std::atomic<bool> stop{false};
-  std::thread inserter([&reg, &stop] {
-    for (int i = 0; i < 5000 && !stop.load(std::memory_order_acquire); ++i) {
-      reg.histogram("h" + std::to_string(i)).Record(static_cast<double>(i));
-    }
-  });
-  for (int i = 0; i < 200; ++i) {
-    auto snaps = reg.SnapshotHistograms();
-    for (auto& [name, snap] : snaps) {
-      // A histogram can be visible before its first Record lands (creation
-      // and recording are separate steps on the inserter) — but never with
-      // a torn count, and never more than the one record made.
-      EXPECT_LE(snap.count, 1u);
-      EXPECT_EQ(snap.samples.size(), snap.count);
-    }
-  }
-  stop.store(true, std::memory_order_release);
-  inserter.join();
 }
 
 TEST(MetricsRegistryTest, NamedAccessCreatesOnce) {

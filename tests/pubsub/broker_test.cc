@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -302,6 +303,234 @@ TEST_F(BrokerTest, SeekBelowRetainedHistorySilentlyLandsAtEarliest) {
   ASSERT_TRUE(msgs.ok());
   ASSERT_FALSE(msgs->empty());
   EXPECT_EQ((*msgs)[0].offset, 3u);
+}
+
+TEST_F(BrokerTest, AddPartitionsGrowsTopicAndRebalancesGroups) {
+  ASSERT_TRUE(broker_.CreateTopic("t", {.partitions = 4}).ok());
+  ASSERT_TRUE(broker_.JoinGroup("g", "t", "m1").ok());
+  const std::uint64_t gen_before = broker_.GroupGeneration("g");
+  ASSERT_TRUE(broker_.AddPartitions("t", 2).ok());
+  EXPECT_EQ(broker_.PartitionCount("t"), 6u);
+  EXPECT_GT(broker_.GroupGeneration("g"), gen_before);
+  // The sole member owns every partition, including the new ones.
+  const GroupView view = broker_.ViewGroup("g");
+  EXPECT_EQ(view.assignment.size(), 6u);
+  // The new partitions accept publishes.
+  EXPECT_TRUE(broker_.Publish("t", Message{"", "new", 0}, 5).ok());
+  EXPECT_EQ(broker_.EndOffset("t", 5), 1u);
+}
+
+TEST_F(BrokerTest, AddPartitionsRejectsUnknownTopic) {
+  EXPECT_FALSE(broker_.AddPartitions("nope", 1).ok());
+}
+
+TEST_F(BrokerTest, InterestIdsNeverRepeatAcrossBrokerInstances) {
+  // A failover replaces a shard's broker; a subscription re-registers when
+  // the replacement does not hold its id. That check is sound only if no
+  // other instance can ever hand out the same id.
+  ASSERT_TRUE(broker_.CreateTopic("t", {.partitions = 1}).ok());
+  const Broker::InterestId first = broker_.AddInterest("t", 0, Filter{});
+  Broker other(&sim_, &net_, "other");
+  ASSERT_TRUE(other.CreateTopic("t", {.partitions = 1}).ok());
+  const Broker::InterestId second = other.AddInterest("t", 0, Filter{});
+  ASSERT_NE(first, 0u);
+  ASSERT_NE(second, 0u);
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(other.HasInterest(first));
+  EXPECT_TRUE(other.HasInterest(second));
+  EXPECT_EQ(broker_.AddInterest("t", 7, Filter{}), 0u);  // Unknown partition.
+  EXPECT_FALSE(broker_.HasInterest(0));
+}
+
+// -- The one wakeup: a WaitForMatch parked on an interest ----------------------
+//
+// Each fixture holds one interest in partition 0 of the two-partition topic
+// "t". EventDrivenTest's is the match-all interest every unfiltered
+// subscription registers; PrefixWakeupTest's matches the "hot" key prefix.
+// "hot" keys match both interests; "cold" keys match only the match-all one.
+// A re-park and teardown act on the interest's one wakeup slot whatever its
+// filter, so they are checked on the match-all interest only.
+
+class InterestWakeupTest : public ::testing::Test {
+ protected:
+  explicit InterestWakeupTest(std::string key_prefix)
+      : net_(&sim_, {.base = 0, .jitter = 0}), broker_(std::make_unique<Broker>(&sim_, &net_)) {
+    EXPECT_TRUE(broker_->CreateTopic("t", {.partitions = 2}).ok());
+    Filter filter;
+    filter.key_prefix = std::move(key_prefix);
+    id_ = broker_->AddInterest("t", 0, filter);
+    EXPECT_NE(id_, 0u);
+  }
+
+  void Publish(const std::string& key, PartitionId partition = 0) {
+    ASSERT_TRUE(broker_->Publish("t", Message{.key = key, .value = "v"}, partition).ok());
+  }
+
+  // Parks a wakeup that counts into `fired` at partition 0's end offset.
+  bool ParkAtEnd(int* fired) {
+    return broker_->WaitForMatch(id_, broker_->EndOffset("t", 0), [fired] { ++*fired; });
+  }
+
+  // Runs every event due at the current instant.
+  void Settle() { sim_.RunUntil(sim_.Now()); }
+
+  sim::Simulator sim_;
+  sim::Network net_;
+  std::unique_ptr<Broker> broker_;
+  Broker::InterestId id_ = 0;
+};
+
+class EventDrivenTest : public InterestWakeupTest {
+ protected:
+  EventDrivenTest() : InterestWakeupTest("") {}
+};
+
+class PrefixWakeupTest : public InterestWakeupTest {
+ protected:
+  PrefixWakeupTest() : InterestWakeupTest("hot") {}
+};
+
+TEST_F(EventDrivenTest, WaitForAppendFiresImmediatelyWhenDataAvailable) {
+  Publish("cold0");
+  int fired = 0;
+  EXPECT_FALSE(broker_->WaitForMatch(id_, 0, [&] { ++fired; }));  // Not parked.
+  EXPECT_EQ(fired, 0);  // An event, never inline.
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);
+  Settle();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST_F(EventDrivenTest, WaitForAppendParksUntilPublishAndIsOneShot) {
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  EXPECT_EQ(broker_->PendingWaiters(), 1u);
+  sim_.RunUntil(100 * common::kMicrosPerMilli);
+  EXPECT_EQ(fired, 0);  // Nothing published: still parked.
+
+  Publish("cold0");  // Any key matches.
+  EXPECT_EQ(fired, 0);  // Fired as an event, not inside the append.
+  Settle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);  // Consumed.
+
+  Publish("cold1");
+  Settle();
+  EXPECT_EQ(fired, 1);  // One-shot: no re-fire without a re-park.
+}
+
+TEST_F(EventDrivenTest, WaitForAppendOnOtherPartitionStaysParked) {
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  Publish("cold-elsewhere", 1);
+  Settle();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(broker_->PendingWaiters(), 1u);
+
+  Publish("cold0");
+  Settle();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST_F(EventDrivenTest, CancelWaitPreventsWakeup) {
+  // RemoveInterest is the cancel: it drops the parked wakeup unfired.
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  EXPECT_TRUE(broker_->RemoveInterest(id_));
+  EXPECT_FALSE(broker_->RemoveInterest(id_));  // Idempotent no-op.
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);
+  EXPECT_EQ(broker_->PendingInterests(), 0u);
+  Publish("cold0");
+  Settle();
+  EXPECT_EQ(fired, 0);
+  // A wait on the removed id parks nothing and never fires.
+  EXPECT_FALSE(broker_->WaitForMatch(id_, 0, [&] { ++fired; }));
+  Settle();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);
+}
+
+TEST_F(EventDrivenTest, ReparkReplacesTheEarlierWakeup) {
+  int first = 0;
+  int second = 0;
+  EXPECT_TRUE(ParkAtEnd(&first));
+  EXPECT_TRUE(ParkAtEnd(&second));
+  EXPECT_EQ(broker_->PendingWaiters(), 1u);
+  Publish("cold0");
+  Settle();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+TEST_F(EventDrivenTest, BrokerDestructionFiresParkedWaiters) {
+  // A failover destroys the shard's broker while subscriptions are parked.
+  // Teardown must fire them (the wakeup re-resolves the shard's new broker
+  // and re-registers there), never drop them.
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  sim_.RunUntil(100 * common::kMicrosPerMilli);
+  ASSERT_EQ(fired, 0);  // Parked; nothing published.
+  broker_.reset();
+  EXPECT_EQ(fired, 0);  // Fired as an event, not inside the destructor.
+  Settle();
+  EXPECT_EQ(fired, 1) << "wakeup parked on a destroyed broker was never fired";
+}
+
+TEST_F(PrefixWakeupTest, FiresAtOnceOnlyWhenAMatchIsRetained) {
+  Publish("cold0");
+  Publish("hot1");
+  int fired = 0;
+  EXPECT_FALSE(broker_->WaitForMatch(id_, 0, [&] { ++fired; }));  // Not parked.
+  EXPECT_EQ(fired, 0);  // An event, never inline.
+  Settle();
+  EXPECT_EQ(fired, 1);
+
+  // Past the last match only a cold record is retained: the wait parks.
+  Publish("cold2");
+  int past = 0;
+  EXPECT_TRUE(broker_->WaitForMatch(id_, 2, [&] { ++past; }));
+  Settle();
+  EXPECT_EQ(past, 0);
+  EXPECT_EQ(broker_->PendingWaiters(), 1u);
+}
+
+TEST_F(PrefixWakeupTest, ParksUntilTheFirstMatchingAppendAndFiresOnce) {
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  Publish("hot0");
+  EXPECT_EQ(fired, 0);  // Fired as an event, not inside the append.
+  Settle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);  // Consumed.
+
+  Publish("hot1");
+  Settle();
+  EXPECT_EQ(fired, 1);  // One-shot: no re-fire without a re-park.
+}
+
+TEST_F(PrefixWakeupTest, NonMatchingAndOtherPartitionAppendsLeaveItParked) {
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  Publish("hot-elsewhere", 1);
+  Publish("cold0");
+  Settle();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(broker_->PendingWaiters(), 1u);
+
+  Publish("hot1");
+  Settle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);
+}
+
+TEST_F(PrefixWakeupTest, RemoveInterestCancelsWithoutFiring) {
+  int fired = 0;
+  EXPECT_TRUE(ParkAtEnd(&fired));
+  EXPECT_TRUE(broker_->RemoveInterest(id_));
+  EXPECT_EQ(broker_->PendingWaiters(), 0u);
+  EXPECT_EQ(broker_->PendingInterests(), 0u);
+  Publish("hot0");
+  Settle();
+  EXPECT_EQ(fired, 0);
 }
 
 }  // namespace

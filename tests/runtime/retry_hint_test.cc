@@ -20,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "obs/trace.h"
 #include "runtime/concurrent_broker.h"
@@ -152,6 +153,43 @@ TEST(RetryHintTest, AsyncPathsCarryTheSameScaledHint) {
     EXPECT_EQ(hint, full_hint);
   }
   pool.Stop();
+}
+
+TEST(RetryHintTest, StoppedPoolAnswersFailedPreconditionWithNoHint) {
+  // A stopped pool never drains. Answering "saturated; retry after …" there
+  // kept a hint-obeying caller retrying until its budget ran out, and
+  // counted every attempt as a full-ring rejection.
+  RuntimeOptions o;
+  o.shards = 1;
+  o.retry_after = 100;
+  ShardPool pool(o);
+  ConcurrentBroker broker(&pool);
+  ConcurrentWatchService watch(&pool);
+  pool.Start();
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
+  pool.Stop();
+  const std::int64_t rejected = pool.metrics().counter("runtime.post_rejected").value();
+
+  common::TimeMicros hint = 0;
+  auto expect_stopped = [&hint](const common::Status& status, const char* path) {
+    EXPECT_EQ(status.code(), common::StatusCode::kFailedPrecondition)
+        << path << ": " << status.message();
+    EXPECT_EQ(hint, 0) << path << " handed out a retry hint";
+    hint = 0;
+  };
+  expect_stopped(broker.TryPublish("t", {.value = "v"}, 0, &hint), "TryPublish");
+  auto batch = std::make_shared<PublishBatch>();
+  batch->Add("", "v");
+  expect_stopped(broker.TryPublishBatch("t", batch, &hint), "TryPublishBatch");
+  expect_stopped(broker.TryFetchAsync("t", 0, 0, 16, &hint,
+                                      [](common::Result<std::vector<pubsub::StoredMessage>>) {
+                                        FAIL() << "refused fetch must not complete";
+                                      }),
+                 "TryFetchAsync");
+  expect_stopped(broker.TryCommitAsync("g", 0, 7, &hint, nullptr), "TryCommitAsync");
+  expect_stopped(watch.TryIngest({"k", common::Mutation::Put("v"), 1, true}, &hint),
+                 "TryIngest");
+  EXPECT_EQ(pool.metrics().counter("runtime.post_rejected").value(), rejected);
 }
 
 }  // namespace

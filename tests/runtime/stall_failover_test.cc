@@ -12,12 +12,20 @@
 //     "waiter fired + no room" as a genuine overflow and broke the
 //     subscription on every failover;
 //   * a stalled FILTERED subscription must re-register its interest on the
-//     replacement broker (the old registration died with the old broker).
+//     replacement broker (the old registration died with the old broker);
+//   * and it must still do so after a SECOND failover. Pre-fix, the pump
+//     re-registered only when the shard's broker pointer differed from the
+//     one it registered on. FailoverShard builds the replacement before it
+//     frees the old broker, so the second replacement could reuse the first
+//     broker's freed address: the compare said "same broker", the pump
+//     parked on an id the new broker never issued, and the next matching
+//     publish never arrived — with every counter at 0.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -174,6 +182,54 @@ TEST(StallFailoverTest, StalledFilteredSubscriptionReregistersOnPromotedBroker) 
   EXPECT_EQ(tail.front().message.key, "hot-tail");
   sub.reset();
   pool.Stop();
+}
+
+// Stalls a kBlock subscription on 60 records it subscribes to, fails the
+// shard over twice while it is stalled, drains, and checks that one more
+// record it subscribes to still arrives.
+void StallThroughTwoFailoversThenPublish(std::optional<pubsub::Filter> filter) {
+  constexpr int kBefore = 60;
+  wal::FaultVfs vfs;
+  RuntimeOptions options = ReplicatedOptions(&vfs);
+  options.replication_factor = 4;  // A follower left to promote each time.
+  ShardPool pool(options);
+  ConcurrentBroker broker(&pool);
+  pool.Start();
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
+  auto sub = broker.Subscribe("t", 0, 0,
+                              {.handoff_capacity = 4, .shard_batch = 4, .filter = filter});
+  ASSERT_NE(sub, nullptr);
+  for (int i = 0; i < kBefore; ++i) {
+    ASSERT_TRUE(broker.PublishSync("t", {.key = "hot" + std::to_string(i), .value = "v"}, 0).ok());
+  }
+  pool.Quiesce();
+  ASSERT_GE(pool.metrics().counter("runtime.slow_consumer.stalls").value(), 1u);
+
+  ASSERT_TRUE(pool.FailoverShard(0).ok()) << pool.durable_status().message();
+  ASSERT_TRUE(pool.FailoverShard(0).ok()) << pool.durable_status().message();
+
+  auto got = DrainAll(sub.get(), kBefore);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kBefore));
+  for (int i = 0; i < kBefore; ++i) {
+    ASSERT_EQ(got[i].offset, static_cast<pubsub::Offset>(i)) << "gap or reorder at " << i;
+  }
+  ASSERT_TRUE(broker.PublishSync("t", {.key = "hot-tail", .value = "y"}, 0).ok());
+  auto tail = DrainAll(sub.get(), 1, /*deadline_sec=*/10);
+  ASSERT_EQ(tail.size(), 1u) << "the subscription went silent after two failovers";
+  EXPECT_EQ(tail.front().message.key, "hot-tail");
+  EXPECT_FALSE(sub->broken());
+  sub.reset();
+  pool.Stop();
+}
+
+TEST(StallFailoverTest, StalledFilteredSubscriptionSurvivesTwoFailovers) {
+  pubsub::Filter filter;
+  filter.key_prefix = "hot";
+  StallThroughTwoFailoversThenPublish(filter);
+}
+
+TEST(StallFailoverTest, StalledSubscriptionSurvivesTwoFailovers) {
+  StallThroughTwoFailoversThenPublish(std::nullopt);
 }
 
 }  // namespace

@@ -178,11 +178,12 @@ TEST(SubscriptionTest, TeardownAfterStopCancelsInlineWithoutCrashing) {
   ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
   auto sub = broker.Subscribe("t", 0, 0);
   ASSERT_NE(sub, nullptr);
-  pool.Quiesce();  // Let the shard-side pump arm its append waiter.
+  pool.Quiesce();  // Let the shard-side pump park its wakeup.
   pool.Stop();
   sub.reset();  // Cancel runs inline against the parked shard.
   pool.RunOn(0, [](ShardCore& core) {
     EXPECT_EQ(core.broker->PendingWaiters(), 0u);
+    EXPECT_EQ(core.broker->PendingInterests(), 0u);
     return 0;
   });
 }
@@ -233,7 +234,8 @@ TEST(SubscriptionTest, TeardownRacingStallResumeLeavesNoWaiters) {
     sub.reset();                    // Races the resume.
     pool.Quiesce();
     pool.RunOn(0, [](ShardCore& core) {
-      EXPECT_EQ(core.broker->PendingWaiters(), 0u) << "teardown leaked an append waiter";
+      EXPECT_EQ(core.broker->PendingWaiters(), 0u) << "teardown leaked a parked wakeup";
+      EXPECT_EQ(core.broker->PendingInterests(), 0u) << "teardown leaked an interest";
       return 0;
     });
     pool.Stop();
@@ -243,10 +245,10 @@ TEST(SubscriptionTest, TeardownRacingStallResumeLeavesNoWaiters) {
 TEST(SubscriptionTest, CursorBelowARetentionEmptiedLogMovesToTheEndOnce) {
   // Regression: a stalled kBlock subscription resumed after time retention
   // had emptied its log. The read returned nothing and left the cursor below
-  // the head, WaitForAppend fired at once because end_offset() > cursor, and
-  // every lap counted the same gap into the log's silent skips again: the
-  // shard spun forever. The read's resume cursor moves past the gap, which
-  // is counted once.
+  // the head, the re-armed wakeup fired at once because end_offset() >
+  // cursor, and every lap counted the same gap into the log's silent skips
+  // again: the shard spun forever. The read's resume cursor moves past the
+  // gap, which is counted once.
   RuntimeOptions opts{.shards = 1};
   opts.tick = common::kMicrosPerSecond;  // Every batch ages the log a second.
   ShardPool pool(opts);
