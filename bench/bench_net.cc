@@ -13,6 +13,10 @@
 // accept rejections, and verifies ZERO acked-record loss: every acked
 // publish is in the log afterwards.
 //
+// The JSON records the host's hardware_concurrency and the build type: the
+// loop and the client poll before they park only with a hardware thread to
+// spare, so the RTT rows depend on both.
+//
 //   ./bench_net [--rtt-iters=N] [--churn=N] [--json=PATH]
 #include <algorithm>
 #include <chrono>
@@ -107,6 +111,8 @@ struct Stack {
 int main(int argc, char** argv) {
   const std::int64_t rtt_iters = FlagInt(argc, argv, "rtt-iters", 5000);
   const std::int64_t churn = FlagInt(argc, argv, "churn", 1000);
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::printf("host hardware_concurrency: %u; build type: %s\n", cores, PUBSUB_BUILD_TYPE);
 
   // -- Part 1: loopback RTT ----------------------------------------------------
   Stack stack;
@@ -259,6 +265,8 @@ int main(int argc, char** argv) {
   if (json_path) {
     bench::Json doc = bench::Json::Object();
     doc["bench"] = "bench_net";
+    doc["hardware_concurrency"] = static_cast<std::int64_t>(cores);
+    doc["build_type"] = PUBSUB_BUILD_TYPE;
     doc["rtt_iters"] = rtt_iters;
     bench::Json& rtt = doc["rtt"] = bench::Json::Object();
     auto fill = [](bench::Json& j, const Percentiles& p) {

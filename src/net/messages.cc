@@ -243,12 +243,24 @@ bool Decode(std::string_view payload, FetchRequest* m) {
          r.AtEnd();
 }
 
-void Encode(const MessageBatch& m, std::string* out, std::uint32_t wire_version) {
+std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out,
+                              std::uint32_t wire_version) {
+  const std::size_t start = out->size();
   Writer w(out);
-  w.U32(static_cast<std::uint32_t>(m.messages.size()));
-  for (const pubsub::StoredMessage& s : m.messages) {
-    EncodeStored(s, w, wire_version);
+  w.U32(0);  // The count, patched below.
+  std::size_t n = 0;
+  for (; n < messages.size(); ++n) {
+    const std::size_t before = out->size();
+    EncodeStored(messages[n], w, wire_version);
+    if (out->size() - start > kMaxPayload) {
+      out->resize(before);
+      break;
+    }
   }
+  std::string count;
+  PutU32(count, static_cast<std::uint32_t>(n));
+  out->replace(start, count.size(), count);
+  return n;
 }
 
 bool Decode(std::string_view payload, MessageBatch* m, std::uint32_t wire_version) {

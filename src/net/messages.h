@@ -6,7 +6,9 @@
 #ifndef SRC_NET_MESSAGES_H_
 #define SRC_NET_MESSAGES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,6 +102,15 @@ struct MessageBatch {
   std::vector<pubsub::StoredMessage> messages;
 };
 
+// The one batch encoder: appends the batch payload of the longest prefix of
+// `messages` that fits kMaxPayload to `out`, and returns the prefix length.
+// The server frames every FETCH response and DELIVER push through it, so no
+// peer ever receives a frame its decoder must refuse as oversized. 0 for a
+// non-empty span means its first message alone does not fit (`out` then
+// holds an empty batch).
+std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out,
+                              std::uint32_t wire_version = kProtocolVersion);
+
 // -- Subscribe (long-poll delivery stream) -------------------------------------
 
 // Opens a server-pushed stream: the response (same verb, empty payload) acks
@@ -183,8 +194,6 @@ void Encode(const CreateTopicRequest& m, std::string* out);
 void Encode(const PublishRequest& m, std::string* out);
 void Encode(const PublishResponse& m, std::string* out);
 void Encode(const FetchRequest& m, std::string* out);
-void Encode(const MessageBatch& m, std::string* out,
-            std::uint32_t wire_version = kProtocolVersion);
 void Encode(const SubscribeRequest& m, std::string* out);
 void Encode(const CommitRequest& m, std::string* out);
 void Encode(const CommitResponse& m, std::string* out);

@@ -111,7 +111,7 @@ IoStatus ReadSome(int fd, char* buf, std::size_t len, std::size_t* n) {
   *n = 0;
   ssize_t rc;
   do {
-    rc = ::read(fd, buf, len);
+    rc = ::recv(fd, buf, len, MSG_DONTWAIT);
   } while (rc < 0 && errno == EINTR);
   if (rc > 0) {
     *n = static_cast<std::size_t>(rc);

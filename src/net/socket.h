@@ -59,8 +59,9 @@ enum class IoStatus : std::uint8_t {
   kError,     // errno-level failure; treat the connection as dead.
 };
 
-// Reads once into buf (EINTR retried). kOk with *n == 0 never happens: a
-// zero-byte read is kEof.
+// Reads once into buf without blocking, whatever the socket's mode (EINTR
+// retried): nothing buffered is kWouldBlock. kOk with *n == 0 never happens:
+// a zero-byte read is kEof.
 IoStatus ReadSome(int fd, char* buf, std::size_t len, std::size_t* n);
 
 // Writes once from buf (EINTR retried). EPIPE/ECONNRESET surface as kError.

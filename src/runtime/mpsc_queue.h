@@ -26,14 +26,14 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/idle_policy.h"
+#include "common/idle_policy.h"
 
 namespace runtime {
 
 template <typename T>
 class MpscQueue {
  public:
-  explicit MpscQueue(std::size_t capacity, IdlePolicy idle = {})
+  explicit MpscQueue(std::size_t capacity, common::IdlePolicy idle = {})
       : ring_(capacity == 0 ? 1 : capacity), idle_(idle) {}
 
   MpscQueue(const MpscQueue&) = delete;
@@ -188,7 +188,7 @@ class MpscQueue {
   std::size_t head_ = 0;                 // Index of the oldest element.
   std::atomic<std::size_t> count_{0};    // Elements queued; written under mu_.
   std::atomic<bool> closed_{false};      // Written under mu_.
-  IdlePolicy idle_;                      // Consumer-confined.
+  common::IdlePolicy idle_;              // Consumer-confined.
 };
 
 }  // namespace runtime

@@ -49,7 +49,7 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
   // A worker polls its empty ring only if every shard can keep a hardware
   // thread to itself: with shards >= threads, a polling worker would spin on
   // the core another shard (or the producer it waits for) needs.
-  const bool may_poll = options_.shards < std::thread::hardware_concurrency();
+  const bool may_poll = common::IdlePolicy::HardwareThreadToSpare(options_.shards);
 
   cores_.reserve(options_.shards);
   queues_.reserve(options_.shards);
@@ -96,7 +96,7 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
     }
     cores_.push_back(std::move(core));
     queues_.push_back(std::make_unique<MpscQueue<Task>>(
-        options_.queue_capacity, IdlePolicy(may_poll, idle_polled_, idle_parked_)));
+        options_.queue_capacity, common::IdlePolicy(may_poll, idle_polled_, idle_parked_)));
     failing_over_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 }

@@ -13,7 +13,7 @@
 // watches, seek-to-time, quiesce) are expressed as fenced multi-shard tasks.
 //
 // An idle worker polls its ring before parking while arrivals are dense and
-// the pool has fewer shards than hardware threads (runtime/idle_policy.h);
+// the pool has fewer shards than hardware threads (common/idle_policy.h);
 // runtime.idle_polled / runtime.idle_parked count how each idle period ended.
 //
 // Backpressure is explicit and loud: TryPost fails when a shard's queue is

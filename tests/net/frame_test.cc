@@ -286,7 +286,7 @@ TEST(FrameTest, MessageCodecsRoundTrip) {
       in.messages.push_back(m);
     }
     std::string p;
-    Encode(in, &p);
+    ASSERT_EQ(EncodeBatchPrefix(in.messages, &p), 5u);
     MessageBatch out;
     ASSERT_TRUE(Decode(p, &out));
     ASSERT_EQ(out.messages.size(), 5u);
