@@ -126,14 +126,14 @@ class Subscription {
   // hook runs — on the owner shard's worker thread — whenever the doorbell
   // rings, i.e. whenever buffered data became available to PollBatch. An
   // event-loop consumer that cannot park in Wait() registers a hook that
-  // nudges its own wakeup primitive (pubsubd writes a self-pipe) and then
-  // drains with PollBatch on its own thread. If data is already buffered at
-  // registration time the hook fires once immediately (on the caller's
-  // thread), closing the subscribe-then-attach window. The hook must be
-  // cheap and must not call back into the Subscription. Pass nullptr to
-  // detach. NOTE: combine with wake_coalesce_us == 0 — a hook-driven
-  // consumer never runs Wait()'s bounded re-check sweep, so a coalesced
-  // (suppressed) ring would strand buffered data.
+  // nudges its own wakeup primitive (pubsubd puts the session on its loop's
+  // ready list) and then drains with PollBatch on its own thread. If data is
+  // already buffered at registration time the hook fires once immediately
+  // (on the caller's thread), closing the subscribe-then-attach window. The
+  // hook must be cheap and must not call back into the Subscription. Pass
+  // nullptr to detach. NOTE: combine with wake_coalesce_us == 0 — a
+  // hook-driven consumer never runs Wait()'s bounded re-check sweep, so a
+  // coalesced (suppressed) ring would strand buffered data.
   void SetReadyHook(std::function<void()> hook);
 
  private:

@@ -231,7 +231,7 @@ TEST(ShardPoolTest, IdleWorkersPollOnlyWithAHardwareThreadToSpare) {
       }
     }
   };
-  const std::size_t cpus = std::thread::hardware_concurrency();
+  const std::size_t cpus = common::IdlePolicy::HardwareThreads();
   if (cpus >= 2) {
     ShardPool pool(SmallOptions(1));
     pool.Start();
