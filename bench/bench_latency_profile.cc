@@ -14,9 +14,7 @@
 // admission sampling (--sample=N, default 64: every 64th origin is traced) —
 // the production configuration — so the delta stays within noise of the
 // disabled mode; --sample=1 traces every record and shows the full cost. The
-// compile-time floor is -DPUBSUB_OBS_NOOP, which removes even the disabled
-// branch; this binary records which mode it was built in. The disabled mode
-// is one relaxed atomic load per origin away from that floor.
+// disabled mode costs one relaxed atomic load per origin.
 //
 // The consumer side of the pubsub plane fetches directly from the broker
 // facade, so this bench stamps kDeliver/kAck and completes the trace exactly
@@ -365,7 +363,6 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
   // completed count is binomial around attempts/n — allow 6 standard
   // deviations of slack, plus the rejected publish/ingest attempts whose
   // admitted traces are dropped with the record.
-#ifndef PUBSUB_OBS_NOOP  // A no-op build never completes traces, by design.
   if (tracing) {
     const std::uint64_t n = sample_every == 0 ? 1 : sample_every;
     const auto successes =
@@ -397,7 +394,6 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
       std::abort();
     }
   }
-#endif
   return r;
 }
 
@@ -464,19 +460,13 @@ int main(int argc, char** argv) {
   }
   const bool event_consumers = consumer_mode == "event";
   const unsigned cores = std::thread::hardware_concurrency();
-#ifdef PUBSUB_OBS_NOOP
-  const bool noop_build = true;
-#else
-  const bool noop_build = false;
-#endif
 
   std::printf(
       "O2/L1: per-stage latency profile — %d producers x %d msgs, %d consumers (%s), "
       "%d watchers, 1/%llu sampling\n",
       producers, per_producer, consumers, consumer_mode.c_str(), watchers,
       static_cast<unsigned long long>(sample_every));
-  std::printf("host hardware_concurrency: %u; PUBSUB_OBS_NOOP build: %s\n", cores,
-              noop_build ? "yes (tracing compiled out; stage tables will be empty)" : "no");
+  std::printf("host hardware_concurrency: %u\n", cores);
 
   // Each grid point runs `reps` interleaved (off, on) pairs. The overhead
   // estimate is the median of the per-pair throughput ratios: adjacent runs
@@ -576,7 +566,6 @@ int main(int argc, char** argv) {
     bench::Json doc = bench::Json::Object();
     doc["bench"] = "bench_latency_profile";
     doc["hardware_concurrency"] = static_cast<std::int64_t>(cores);
-    doc["pubsub_obs_noop_build"] = noop_build;
     doc["producers"] = producers;
     doc["consumers"] = consumers;
     doc["consumer_mode"] = consumer_mode;
@@ -636,7 +625,6 @@ int main(int argc, char** argv) {
       "\nShape check: every admitted origin completes exactly one trace (publish ->\n"
       "consumer ack, ingest -> watcher ack), so traces ~= (messages + delivered) /\n"
       "sample on each traced run. Tracing overhead is the off-vs-on throughput delta\n"
-      "at the configured sampling rate; --sample=1 shows the full always-on cost and\n"
-      "-DPUBSUB_OBS_NOOP is the compile-time zero-cost floor.\n");
+      "at the configured sampling rate; --sample=1 shows the full always-on cost.\n");
   return 0;
 }

@@ -169,8 +169,7 @@ RunResult RunOnce(std::size_t shards, int producers, int consumers, int watchers
     options.watch_splits.push_back(SplitPoint(s, shards));
   }
   // --trace: wire the obs collector and enable 1/64 admission sampling (the
-  // production tracing configuration); against a -DPUBSUB_OBS_NOOP build of
-  // this binary the throughput delta is the end-to-end cost of tracing.
+  // production tracing configuration).
   common::MetricsRegistry trace_registry;
   std::unique_ptr<obs::Collector> collector;
   if (trace) {
@@ -526,11 +525,6 @@ int main(int argc, char** argv) {
   }
   const bool event_consumers = consumer_mode == "event";
   const unsigned cores = std::thread::hardware_concurrency();
-#ifdef PUBSUB_OBS_NOOP
-  const bool noop_build = true;
-#else
-  const bool noop_build = false;
-#endif
 
   if (smoke) {
     // CI perf gate: 1-shard publish-only A/B of 512-record arena batches
@@ -628,7 +622,7 @@ int main(int argc, char** argv) {
   std::printf(
       "R1: runtime throughput scaling — %d producers x %d msgs, %d consumers (%s), %d watchers%s\n",
       producers, per_producer, consumers, consumer_mode.c_str(), watchers,
-      trace ? (noop_build ? " [--trace, PUBSUB_OBS_NOOP build]" : " [--trace]") : "");
+      trace ? " [--trace]" : "");
   if (arrival_rate > 0) {
     std::printf("load mode: open-loop, %.0f arrivals/sec offered, zipf theta %.2f "
                 "(one attempt per arrival; rejections are loss)\n",
@@ -670,7 +664,6 @@ int main(int argc, char** argv) {
     doc["bench"] = "bench_runtime_throughput";
     doc["hardware_concurrency"] = static_cast<std::int64_t>(cores);
     doc["traced"] = trace;
-    doc["pubsub_obs_noop_build"] = noop_build;
     doc["producers"] = producers;
     doc["consumers"] = consumers;
     doc["consumer_mode"] = consumer_mode;

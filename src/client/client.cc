@@ -49,11 +49,8 @@ Client::Client(net::Fd fd, ClientOptions options)
     : fd_(std::move(fd)),
       options_(std::move(options)),
       idle_(/*may_poll=*/true, nullptr, nullptr) {
-  // Offered version, bounded to what this build can actually frame; the
-  // HELLO response may negotiate it further down.
-  wire_version_ = std::min<std::uint32_t>(
-      std::max<std::uint32_t>(options_.wire_version, net::kMinProtocolVersion),
-      net::kProtocolVersion);
+  // The protocol ceiling bounds the HELLO; the server's reply sets the bound.
+  hello_.max_payload = net::kMaxPayload;
 }
 
 Client::~Client() {
@@ -73,7 +70,6 @@ Client::~Client() {
 
 common::Status Client::Handshake() {
   net::HelloRequest req;
-  req.wire_version = wire_version_;
   req.client_name = options_.client_name;
   std::string payload;
   net::Encode(req, &payload);
@@ -89,11 +85,11 @@ common::Status Client::Handshake() {
     MarkBroken("malformed HELLO response");
     return BrokenStatus();
   }
-  if (hello_.wire_version < net::kMinProtocolVersion) {
-    MarkBroken("server negotiated unsupported version " + std::to_string(hello_.wire_version));
+  if (hello_.wire_version != net::kProtocolVersion) {
+    MarkBroken("protocol version mismatch: server " + std::to_string(hello_.wire_version) +
+               ", client " + std::to_string(net::kProtocolVersion));
     return BrokenStatus();
   }
-  wire_version_ = std::min(wire_version_, hello_.wire_version);
   return common::Status::Ok();
 }
 
@@ -140,9 +136,14 @@ common::Status Client::WriteFrame(net::Verb verb, std::uint64_t request_id,
   if (broken_) {
     return BrokenStatus();
   }
+  if (payload.size() > hello_.max_payload) {
+    // The server would end the session over it (frame_error:oversized).
+    return common::Status::InvalidArgument(
+        std::string(net::VerbName(verb)) + " payload of " + std::to_string(payload.size()) +
+        " bytes exceeds the server's max_payload of " + std::to_string(hello_.max_payload));
+  }
   std::string frame;
-  net::EncodeFrame(frame, verb, request_id, payload,
-                   static_cast<std::uint8_t>(wire_version_));
+  net::EncodeFrame(frame, verb, request_id, payload);
   std::lock_guard<std::mutex> lock(write_mu_);
   const common::Status st = net::WriteAll(fd_.get(), frame.data(), frame.size());
   if (!st.ok()) {
@@ -325,9 +326,6 @@ common::Status Client::Publish(const std::string& topic, common::Key key, common
                                std::optional<pubsub::PartitionId> partition, net::PublishAck ack,
                                pubsub::PublishResult* result, common::TimeMicros publish_time,
                                pubsub::Headers headers) {
-  if (!headers.empty() && wire_version_ < 2) {
-    return common::Status::InvalidArgument("record headers require protocol v2");
-  }
   net::PublishRequest req;
   req.topic = topic;
   req.ack = ack;
@@ -371,7 +369,7 @@ common::Result<std::vector<pubsub::StoredMessage>> Client::Fetch(const std::stri
   std::string response;
   RETURN_IF_ERROR(CallThroughBackpressure(net::Verb::kFetch, payload, &response));
   net::MessageBatch batch;
-  if (!net::Decode(response, &batch, wire_version_)) {
+  if (!net::Decode(response, &batch)) {
     MarkBroken("malformed FETCH response");
     return BrokenStatus();
   }
@@ -403,18 +401,12 @@ common::Result<std::unique_ptr<Subscription>> Client::Subscribe(const std::strin
                                                                 pubsub::Offset start,
                                                                 std::uint32_t max_batch,
                                                                 std::optional<pubsub::Filter> filter) {
-  if (filter.has_value() && wire_version_ < 2) {
-    return common::Status::InvalidArgument("filtered subscribe requires protocol v2");
-  }
   net::SubscribeRequest req;
   req.topic = topic;
   req.partition = partition;
   req.start = start;
   req.max_batch = max_batch;
-  if (filter.has_value()) {
-    req.has_filter = true;
-    req.filter = std::move(*filter);
-  }
+  req.filter = std::move(filter).value_or(pubsub::Filter{});
   std::string payload;
   net::Encode(req, &payload);
   const std::uint64_t rid = NextId();
@@ -432,30 +424,16 @@ common::Result<std::unique_ptr<Subscription>> Client::Subscribe(const std::strin
 
 common::Result<std::unique_ptr<Watch>> Client::Watch(common::Key low, common::Key high,
                                                      common::Version version) {
-  net::WatchRequest req;
-  req.low = std::move(low);
-  req.high = std::move(high);
-  req.version = version;
-  return OpenWatch(req);
+  pubsub::Filter filter;
+  filter.range = common::KeyRange{std::move(low), std::move(high)};
+  return WatchFiltered(std::move(filter), version);
 }
 
 common::Result<std::unique_ptr<Watch>> Client::WatchFiltered(pubsub::Filter filter,
                                                              common::Version version) {
-  if (wire_version_ < 2) {
-    return common::Status::InvalidArgument("filtered watch requires protocol v2");
-  }
   net::WatchRequest req;
-  // low/high restate the filter's range so a range-only server (or a future
-  // downleveled path) still scopes the stream correctly.
-  req.low = filter.range.low;
-  req.high = filter.range.high;
   req.version = version;
-  req.has_filter = true;
   req.filter = std::move(filter);
-  return OpenWatch(req);
-}
-
-common::Result<std::unique_ptr<Watch>> Client::OpenWatch(const net::WatchRequest& req) {
   std::string payload;
   net::Encode(req, &payload);
   const std::uint64_t rid = NextId();
@@ -531,7 +509,7 @@ std::size_t Subscription::Poll(std::vector<pubsub::StoredMessage>* out, std::siz
     pending_pos_ = 0;
     if (!state_->payloads.empty()) {
       net::MessageBatch batch;
-      const bool ok = net::Decode(state_->payloads.front(), &batch, client_->wire_version_);
+      const bool ok = net::Decode(state_->payloads.front(), &batch);
       state_->payloads.pop_front();
       if (!ok) {
         client_->MarkBroken("malformed DELIVER payload");

@@ -1,9 +1,12 @@
 // Blocking client library for pubsubd. One Client is one TCP connection and
-// one protocol session: Connect() performs the HELLO handshake and (by
-// default) starts a background heartbeat thread that keeps the session alive
-// through the server's dead-peer window; the request verbs are synchronous
-// call/response; Subscribe() and Watch() return pull-style stream objects
-// over the server's push frames.
+// one protocol session: Connect() performs the HELLO handshake (both sides
+// state net::kProtocolVersion; a server stating any other version fails it)
+// and (by default) starts a background heartbeat thread that keeps the
+// session alive through the server's dead-peer window; the request verbs are
+// synchronous call/response; Subscribe() and Watch() return pull-style
+// stream objects over the server's push frames. A request whose payload
+// exceeds the max_payload the server advertised in HELLO is refused locally
+// with kInvalidArgument, and the connection stays up.
 //
 // Threading model: ONE user thread drives the client (requests and stream
 // polls); the heartbeat thread only writes (sends are serialized by an
@@ -53,10 +56,6 @@ namespace client {
 
 struct ClientOptions {
   std::string client_name = "client";
-  // Protocol version offered in HELLO; the session speaks
-  // min(this, server). Set to 1 to exercise the v1 (filter-less,
-  // header-less) wire shape against a v2 server.
-  std::uint32_t wire_version = net::kProtocolVersion;
   // Background keepalive (beats at half the server's advertised interval).
   bool auto_heartbeat = true;
   // Deadline for a single request/response round trip (<= 0: wait forever).
@@ -84,8 +83,6 @@ class Client {
 
   // The server's HELLO contract (heartbeat interval, payload bound, name).
   const net::HelloResponse& server_hello() const { return hello_; }
-  // The version this session actually speaks: min(offered, server's HELLO).
-  std::uint32_t wire_version() const { return wire_version_; }
   // True once the connection has failed; every call then returns
   // kFailedPrecondition without touching the socket.
   bool broken() const { return broken_; }
@@ -116,9 +113,8 @@ class Client {
                                         net::CommitMode mode = net::CommitMode::kCommit);
 
   // Opens a server-pushed delivery stream. The subscription must not outlive
-  // the client. `filter` (v2 sessions only) asks the broker to deliver only
-  // matching records — the O(matching) fanout path; on a v1 session a filter
-  // is refused client-side (kInvalidArgument) rather than silently dropped.
+  // the client. `filter` asks the broker to deliver only matching records —
+  // the O(matching) fanout path; without one the stream carries every record.
   common::Result<std::unique_ptr<Subscription>> Subscribe(
       const std::string& topic, pubsub::PartitionId partition, pubsub::Offset start,
       std::uint32_t max_batch = 256, std::optional<pubsub::Filter> filter = std::nullopt);
@@ -128,9 +124,9 @@ class Client {
   common::Result<std::unique_ptr<::client::Watch>> Watch(common::Key low, common::Key high,
                                                          common::Version version);
 
-  // Filtered watch (v2 sessions only): the filter's range is the watch range
-  // and its prefix narrows delivery broker-side. Header predicates are
-  // refused by the server (change events carry no headers).
+  // Filtered watch: the filter's range is the watch range and its prefix
+  // narrows delivery broker-side. Header predicates are refused by the
+  // server (change events carry no headers).
   common::Result<std::unique_ptr<::client::Watch>> WatchFiltered(pubsub::Filter filter,
                                                                  common::Version version);
 
@@ -156,9 +152,9 @@ class Client {
 
   common::Status Handshake();
   void StartHeartbeats();
-  common::Result<std::unique_ptr<::client::Watch>> OpenWatch(const net::WatchRequest& req);
 
-  // Sends one frame (serialized with the heartbeat thread).
+  // Sends one frame (serialized with the heartbeat thread). A payload over
+  // the server's advertised bound is refused with kInvalidArgument, unsent.
   common::Status WriteFrame(net::Verb verb, std::uint64_t request_id, const std::string& payload);
   // Sends a request (unless `send` is false: the frame was already written,
   // e.g. the handshake) and blocks for its response (same verb or ERROR,
@@ -194,7 +190,6 @@ class Client {
   net::FrameDecoder decoder_;  // Bounded by net::kMaxPayload, as every frame is.
   common::IdlePolicy idle_;    // User thread only: how PumpUntil waits.
   net::HelloResponse hello_;
-  std::uint32_t wire_version_ = net::kProtocolVersion;  // Negotiated in HELLO.
 
   std::uint64_t next_id_ = 1;
   std::atomic<bool> broken_{false};

@@ -40,8 +40,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out) {
   if (GetU16(h) != kMagic) {
     return Fail(FrameError::kBadMagic);
   }
-  const std::uint8_t version = static_cast<std::uint8_t>(h[2]);
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (static_cast<std::uint8_t>(h[2]) != kProtocolVersion) {
     return Fail(FrameError::kBadVersion);
   }
   const std::uint32_t stored_header_crc = GetU32(h + 20);
@@ -64,7 +63,6 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out) {
     return Fail(FrameError::kPayloadCorrupt);
   }
   out->verb = static_cast<Verb>(h[3]);
-  out->version = version;
   out->request_id = GetU64(h + 8);
   out->payload = payload;
   head_ += kHeaderSize + payload_len;

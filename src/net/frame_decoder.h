@@ -29,7 +29,7 @@ namespace net {
 enum class FrameError : std::uint8_t {
   kNone = 0,
   kBadMagic,        // Stream desync or a non-protocol peer.
-  kBadVersion,      // Protocol version mismatch (peer must reconnect/upgrade).
+  kBadVersion,      // Header states a version other than kProtocolVersion.
   kHeaderCorrupt,   // Header CRC failed: bit flip or torn header.
   kBadVerb,         // Structurally valid header naming an unknown verb.
   kOversized,       // payload_len exceeds the decoder's bound.

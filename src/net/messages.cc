@@ -38,39 +38,23 @@ bool DecodeHeaders(Reader& r, pubsub::Headers* headers) {
   return true;
 }
 
-// v2 messages always carry a header block (count may be zero); v1 never does.
-void EncodeMessage(const pubsub::Message& m, Writer& w, std::uint32_t wire_version) {
-  w.Str(m.key);
-  w.Str(m.value);
-  w.I64(m.publish_time);
-  if (wire_version >= 2) {
-    EncodeHeaders(m.headers, w);
-  }
-}
-
-bool DecodeMessage(Reader& r, pubsub::Message* m, std::uint32_t wire_version) {
-  if (!r.Str(&m->key) || !r.Str(&m->value) || !r.I64(&m->publish_time)) {
-    return false;
-  }
-  if (wire_version >= 2) {
-    return DecodeHeaders(r, &m->headers);
-  }
-  m->headers.clear();
-  return true;
-}
-
-void EncodeStored(const pubsub::StoredMessage& m, Writer& w, std::uint32_t wire_version) {
+void EncodeStored(const pubsub::StoredMessage& m, Writer& w) {
   w.U64(m.offset);
-  EncodeMessage(m.message, w, wire_version);
+  w.Str(m.message.key);
+  w.Str(m.message.value);
+  w.I64(m.message.publish_time);
+  EncodeHeaders(m.message.headers, w);
 }
 
-bool DecodeStored(Reader& r, pubsub::StoredMessage* m, std::uint32_t wire_version) {
-  return r.U64(&m->offset) && DecodeMessage(r, &m->message, wire_version);
+bool DecodeStored(Reader& r, pubsub::StoredMessage* m) {
+  return r.U64(&m->offset) && r.Str(&m->message.key) && r.Str(&m->message.value) &&
+         r.I64(&m->message.publish_time) && DecodeHeaders(r, &m->message.headers);
 }
 
 // Filter block: range low/high (empty high = unbounded, mirroring KeyRange),
 // prefix, then the header conjunction. Op bytes outside the enum are a
-// malformation, not a soft skip.
+// malformation, not a soft skip. The match-all Filter{} encodes as two empty
+// range bounds, an empty prefix and no predicates.
 void EncodeFilter(const pubsub::Filter& f, Writer& w) {
   w.Str(f.range.low);
   w.Str(f.range.high);
@@ -194,27 +178,22 @@ void Encode(const PublishRequest& m, std::string* out) {
   w.Str(m.key);
   w.Str(m.value);
   w.I64(m.publish_time);
-  if (!m.headers.empty()) {
-    EncodeHeaders(m.headers, w);
-  }
+  EncodeHeaders(m.headers, w);
 }
 
 bool Decode(std::string_view payload, PublishRequest* m) {
   Reader r(payload);
   std::uint8_t ack = 0;
   if (!(r.Str(&m->topic) && r.U8(&ack) && r.Bool(&m->has_partition) && r.U32(&m->partition) &&
-        r.Str(&m->key) && r.Str(&m->value) && r.I64(&m->publish_time))) {
+        r.Str(&m->key) && r.Str(&m->value) && r.I64(&m->publish_time) &&
+        DecodeHeaders(r, &m->headers) && r.AtEnd())) {
     return false;
   }
   if (ack > static_cast<std::uint8_t>(PublishAck::kOffset)) {
     return false;
   }
   m->ack = static_cast<PublishAck>(ack);
-  m->headers.clear();
-  if (!r.AtEnd() && !DecodeHeaders(r, &m->headers)) {
-    return false;
-  }
-  return r.AtEnd();
+  return true;
 }
 
 void Encode(const PublishResponse& m, std::string* out) {
@@ -243,15 +222,14 @@ bool Decode(std::string_view payload, FetchRequest* m) {
          r.AtEnd();
 }
 
-std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out,
-                              std::uint32_t wire_version) {
+std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out) {
   const std::size_t start = out->size();
   Writer w(out);
   w.U32(0);  // The count, patched below.
   std::size_t n = 0;
   for (; n < messages.size(); ++n) {
     const std::size_t before = out->size();
-    EncodeStored(messages[n], w, wire_version);
+    EncodeStored(messages[n], w);
     if (out->size() - start > kMaxPayload) {
       out->resize(before);
       break;
@@ -263,7 +241,7 @@ std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, s
   return n;
 }
 
-bool Decode(std::string_view payload, MessageBatch* m, std::uint32_t wire_version) {
+bool Decode(std::string_view payload, MessageBatch* m) {
   Reader r(payload);
   std::uint32_t n = 0;
   if (!r.U32(&n)) {
@@ -273,7 +251,7 @@ bool Decode(std::string_view payload, MessageBatch* m, std::uint32_t wire_versio
   m->messages.reserve(std::min(n, kMaxReserve));
   for (std::uint32_t i = 0; i < n; ++i) {
     pubsub::StoredMessage s;
-    if (!DecodeStored(r, &s, wire_version)) {
+    if (!DecodeStored(r, &s)) {
       return false;
     }
     m->messages.push_back(std::move(s));
@@ -287,26 +265,13 @@ void Encode(const SubscribeRequest& m, std::string* out) {
   w.U32(m.partition);
   w.U64(m.start);
   w.U32(m.max_batch);
-  if (m.has_filter) {
-    w.Bool(true);
-    EncodeFilter(m.filter, w);
-  }
+  EncodeFilter(m.filter, w);
 }
 
 bool Decode(std::string_view payload, SubscribeRequest* m) {
   Reader r(payload);
-  if (!(r.Str(&m->topic) && r.U32(&m->partition) && r.U64(&m->start) && r.U32(&m->max_batch))) {
-    return false;
-  }
-  m->has_filter = false;
-  m->filter = pubsub::Filter{};
-  if (r.AtEnd()) {
-    return true;  // v1 shape: no filter block.
-  }
-  if (!r.Bool(&m->has_filter) || !m->has_filter) {
-    return false;  // A present block with a false flag is a malformation.
-  }
-  return DecodeFilter(r, &m->filter) && r.AtEnd();
+  return r.Str(&m->topic) && r.U32(&m->partition) && r.U64(&m->start) &&
+         r.U32(&m->max_batch) && DecodeFilter(r, &m->filter) && r.AtEnd();
 }
 
 void Encode(const CommitRequest& m, std::string* out) {
@@ -344,29 +309,13 @@ bool Decode(std::string_view payload, CommitResponse* m) {
 
 void Encode(const WatchRequest& m, std::string* out) {
   Writer w(out);
-  w.Str(m.low);
-  w.Str(m.high);
   w.U64(m.version);
-  if (m.has_filter) {
-    w.Bool(true);
-    EncodeFilter(m.filter, w);
-  }
+  EncodeFilter(m.filter, w);
 }
 
 bool Decode(std::string_view payload, WatchRequest* m) {
   Reader r(payload);
-  if (!(r.Str(&m->low) && r.Str(&m->high) && r.U64(&m->version))) {
-    return false;
-  }
-  m->has_filter = false;
-  m->filter = pubsub::Filter{};
-  if (r.AtEnd()) {
-    return true;  // v1 shape: no filter block.
-  }
-  if (!r.Bool(&m->has_filter) || !m->has_filter) {
-    return false;
-  }
-  return DecodeFilter(r, &m->filter) && r.AtEnd();
+  return r.U64(&m->version) && DecodeFilter(r, &m->filter) && r.AtEnd();
 }
 
 void Encode(const WatchPush& m, std::string* out) {

@@ -1,8 +1,10 @@
 // Typed payload codecs for every frame verb (net/wire.h). Each message is a
 // plain struct plus an Encode (appends to a payload string) and a Decode
 // (bounds-checked; returns false on any malformation, including trailing
-// bytes — a schema mismatch is as terminal as a CRC miss). The structs are
-// the protocol's source of truth; docs/PROTOCOL.md §8 restates them.
+// bytes — a schema mismatch is as terminal as a CRC miss). Each verb has one
+// layout and encodes every field every time, so every strict prefix of a
+// payload fails Decode. The structs are the protocol's source of truth;
+// docs/PROTOCOL.md §8 restates them.
 #ifndef SRC_NET_MESSAGES_H_
 #define SRC_NET_MESSAGES_H_
 
@@ -24,11 +26,12 @@ namespace net {
 
 // -- HELLO ---------------------------------------------------------------------
 
-// First frame each way. The client states its protocol version (also in the
-// frame header; restated here so a version-mismatch ERROR can be produced by
-// the dispatch layer, which sees only decoded payloads) and a diagnostic
-// name. The server's reply carries the session contract: how often to beat,
-// how many missed beats are lethal, and the payload bound it will enforce.
+// First frame each way. Both sides state kProtocolVersion (also in the frame
+// header; restated here so a version-mismatch ERROR can be produced by the
+// dispatch layer, which sees only decoded payloads), and each refuses any
+// other number. The client adds a diagnostic name; the server's reply
+// carries the session contract: how often to beat, how many missed beats are
+// lethal, and the payload bound it will enforce.
 struct HelloRequest {
   std::uint32_t wire_version = kProtocolVersion;
   std::string client_name;
@@ -76,10 +79,7 @@ struct PublishRequest {
   common::Key key;
   common::Value value;
   common::TimeMicros publish_time = 0;
-  // v2: record headers, encoded as an optional trailing block (count + pairs)
-  // present only when non-empty. A v1 payload simply ends after publish_time,
-  // so old clients round-trip unchanged and decode as headerless.
-  pubsub::Headers headers;
+  pubsub::Headers headers;  // Always encoded: count (possibly 0) + pairs.
 };
 
 struct PublishResponse {
@@ -95,9 +95,8 @@ struct FetchRequest {
   std::uint32_t max = 0;
 };
 
-// FETCH responses and DELIVER pushes share one batch shape. The batch codec
-// is version-parameterized: v2 sessions carry each message's header block
-// (count + pairs, always present, possibly zero), v1 sessions omit it.
+// FETCH responses and DELIVER pushes share one batch shape; each message
+// carries its header block (count + pairs, possibly zero).
 struct MessageBatch {
   std::vector<pubsub::StoredMessage> messages;
 };
@@ -108,8 +107,7 @@ struct MessageBatch {
 // peer ever receives a frame its decoder must refuse as oversized. 0 for a
 // non-empty span means its first message alone does not fit (`out` then
 // holds an empty batch).
-std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out,
-                              std::uint32_t wire_version = kProtocolVersion);
+std::size_t EncodeBatchPrefix(std::span<const pubsub::StoredMessage> messages, std::string* out);
 
 // -- Subscribe (long-poll delivery stream) -------------------------------------
 
@@ -121,10 +119,8 @@ struct SubscribeRequest {
   pubsub::PartitionId partition = 0;
   pubsub::Offset start = 0;
   std::uint32_t max_batch = 256;
-  // v2: optional trailing filter block. Encoded only when has_filter; a v1
-  // payload ends after max_batch and decodes as unfiltered. Servers reject a
-  // filter arriving on a session that negotiated v1.
-  bool has_filter = false;
+  // Always encoded. The default Filter{} matches every record, and the
+  // broker reads such a subscription unfiltered (Filter::MatchesEverything).
   pubsub::Filter filter;
 };
 
@@ -151,14 +147,10 @@ struct CommitResponse {
 
 // -- Watch ---------------------------------------------------------------------
 
+// The filter's range is the watch range; its prefix narrows delivery. Header
+// predicates are refused by the server (change events carry no headers).
 struct WatchRequest {
-  common::Key low;
-  common::Key high;
   common::Version version = 0;
-  // v2: optional trailing filter block (same shape as SubscribeRequest's).
-  // The filter's range must agree with low/high when present; encoders set
-  // low/high from filter.range so v1 servers still honor the range part.
-  bool has_filter = false;
   pubsub::Filter filter;
 };
 
@@ -208,8 +200,7 @@ bool Decode(std::string_view payload, CreateTopicRequest* m);
 bool Decode(std::string_view payload, PublishRequest* m);
 bool Decode(std::string_view payload, PublishResponse* m);
 bool Decode(std::string_view payload, FetchRequest* m);
-bool Decode(std::string_view payload, MessageBatch* m,
-            std::uint32_t wire_version = kProtocolVersion);
+bool Decode(std::string_view payload, MessageBatch* m);
 bool Decode(std::string_view payload, SubscribeRequest* m);
 bool Decode(std::string_view payload, CommitRequest* m);
 bool Decode(std::string_view payload, CommitResponse* m);

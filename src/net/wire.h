@@ -6,9 +6,9 @@
 //
 //   offset  size  field
 //        0     2  magic        0x5053 ("PS")
-//        2     1  version      kProtocolVersion
+//        2     1  version      kProtocolVersion, exactly
 //        3     1  verb         Verb enum
-//        4     4  payload_len  bytes following the header (<= negotiated max)
+//        4     4  payload_len  bytes following the header (<= advertised max)
 //        8     8  request_id   echoed verbatim in responses; identifies the
 //                              stream for server-push frames (DELIVER and
 //                              WATCH_PUSH carry the originating SUBSCRIBE /
@@ -37,14 +37,13 @@
 namespace net {
 
 inline constexpr std::uint16_t kMagic = 0x5053;  // "PS".
-// v1: original frame set. v2 adds optional content-filter blocks to
-// SUBSCRIBE/WATCH, record headers on PUBLISH, and per-message headers in
-// DELIVER/FETCH batches. The decoder accepts the whole range; each session
-// speaks min(client, server) as negotiated in HELLO.
+// The one protocol version: one payload layout per verb, every field always
+// encoded (net/messages.h). Every frame header and both HELLOs state exactly
+// this number, and anything else is refused: there is no negotiation. A new
+// field extends its verb's layout and bumps the version.
 inline constexpr std::uint8_t kProtocolVersion = 2;
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
-// Absolute payload ceiling; servers may negotiate a smaller bound in HELLO.
+// Absolute payload ceiling; a server may advertise a smaller bound in HELLO.
 inline constexpr std::size_t kMaxPayload = 16u << 20;
 
 // Request verbs are client-initiated (the server responds with the same verb
@@ -95,10 +94,6 @@ inline const char* VerbName(Verb v) {
 // immediately (net/messages.h) rather than retaining the view.
 struct Frame {
   Verb verb = Verb::kHello;
-  // Header version byte, in [kMinProtocolVersion, kProtocolVersion]. The
-  // dispatcher reads it off the first (HELLO) frame to pin the session's
-  // negotiated version.
-  std::uint8_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::string_view payload;
 };
@@ -144,14 +139,12 @@ inline std::uint64_t GetU64(const char* p) {
 }
 
 // Appends a complete frame (header + payload) to `out`. The payload must fit
-// kMaxPayload; callers enforce any tighter negotiated bound. `version` is
-// the header version byte — sessions speaking a downlevel negotiated
-// version pass it explicitly.
+// kMaxPayload; callers enforce any tighter bound the peer advertised.
 inline void EncodeFrame(std::string& out, Verb verb, std::uint64_t request_id,
-                        std::string_view payload, std::uint8_t version = kProtocolVersion) {
+                        std::string_view payload) {
   const std::size_t header_at = out.size();
   PutU16(out, kMagic);
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kProtocolVersion));
   out.push_back(static_cast<char>(verb));
   PutU32(out, static_cast<std::uint32_t>(payload.size()));
   PutU64(out, request_id);

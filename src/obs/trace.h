@@ -22,9 +22,6 @@
 // sites). With tracing enabled, SetTraceSampleEvery(n) admits every n-th
 // origin and leaves the rest untraced at the cost of one relaxed counter
 // bump, so the clock reads and histogram inserts amortize to 1/n per record.
-// Compiling with -DPUBSUB_OBS_NOOP removes even those: Start() returns an
-// inactive context and Stamp() compiles to nothing, which is the
-// "compiled-to-no-op" baseline the overhead bench compares against.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -88,12 +85,6 @@ inline std::uint64_t Mix64(std::uint64_t x) {
 }
 }  // namespace internal
 
-#ifdef PUBSUB_OBS_NOOP
-inline constexpr bool TracingEnabled() { return false; }
-inline void SetTracingEnabled(bool) {}
-inline void SetTraceSampleEvery(std::uint64_t) {}
-inline constexpr std::uint64_t TraceSampleEvery() { return 1; }
-#else
 inline bool TracingEnabled() {
   return internal::g_tracing_enabled.load(std::memory_order_relaxed);
 }
@@ -111,7 +102,6 @@ inline void SetTraceSampleEvery(std::uint64_t every) {
 inline std::uint64_t TraceSampleEvery() {
   return internal::g_trace_sample_every.load(std::memory_order_relaxed);
 }
-#endif
 
 struct TraceContext {
   // id values: 0 = never offered to the sampler (a record born before any
@@ -128,14 +118,9 @@ struct TraceContext {
   bool considered() const { return id != 0; }
 
   void Stamp(Stage stage, std::int64_t t_us) {
-#ifdef PUBSUB_OBS_NOOP
-    (void)stage;
-    (void)t_us;
-#else
     if (active()) {
       at[static_cast<std::size_t>(stage)] = t_us;
     }
-#endif
   }
 
   std::int64_t stamp(Stage stage) const { return at[static_cast<std::size_t>(stage)]; }
@@ -146,7 +131,6 @@ struct TraceContext {
   // `!considered()`) draw the lottery at most once per record.
   static TraceContext Start() {
     TraceContext trace;
-#ifndef PUBSUB_OBS_NOOP
     if (TracingEnabled()) {
       const std::uint64_t every =
           internal::g_trace_sample_every.load(std::memory_order_relaxed);
@@ -159,7 +143,6 @@ struct TraceContext {
       trace.id = internal::g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
       trace.at[static_cast<std::size_t>(Stage::kOrigin)] = NowMicros();
     }
-#endif
     return trace;
   }
 };

@@ -173,6 +173,16 @@ struct Server::SubStream {
 };
 
 struct Server::WatchStream {
+  // Ends the stream: silences the fan before cancelling, so a delivery
+  // racing the cancel cannot enqueue into a stream nobody will drain.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(queue->mu);
+      queue->dead = true;
+    }
+    handle->Cancel();
+  }
+
   std::shared_ptr<WatchQueue> queue;
   std::unique_ptr<WatchFan> fan;
   std::unique_ptr<watch::WatchHandle> handle;  // After fan: destroyed first.
@@ -191,10 +201,6 @@ struct Server::Session {
   std::size_t out_head = 0;
 
   bool hello_done = false;
-  // Negotiated wire version: min(client, server), pinned by HELLO. Every
-  // outbound frame and version-sensitive payload codec on this session uses
-  // it, so a v1 peer never sees a v2-only block.
-  std::uint8_t wire_version = net::kProtocolVersion;
   bool saw_goodbye = false;
   bool closing = false;  // Flush pending bytes, then close.
   bool dead = false;     // Torn down; reaped at end of the loop iteration.
@@ -513,12 +519,10 @@ void Server::AcceptNew() {
     if (sessions_.size() >= options_.max_connections) {
       accept_rejected_->Increment();
       // Best-effort refusal so the client sees a typed error, not a RST.
-      std::string payload;
-      net::Encode(net::ErrorBody{static_cast<std::uint32_t>(common::StatusCode::kResourceExhausted),
-                                 0, "connection limit reached"},
-                  &payload);
       std::string frame;
-      net::EncodeFrame(frame, net::Verb::kError, 0, payload);
+      net::EncodeFrame(
+          frame, net::Verb::kError, 0,
+          ErrorPayload(common::Status::ResourceExhausted("connection limit reached"), 0));
       std::size_t n = 0;
       (void)net::WriteSome(conn.get(), frame.data(), frame.size(), &n);
       continue;
@@ -563,17 +567,14 @@ void Server::ReadSession(Session& s) {
           // Framing integrity lost: there is no boundary to resynchronize
           // on. One best-effort typed error, then the connection dies loudly.
           frame_errors_->Increment();
-          std::string payload;
-          net::Encode(
-              net::ErrorBody{static_cast<std::uint32_t>(common::StatusCode::kInvalidArgument), 0,
-                             std::string("frame error: ") + net::FrameErrorName(s.decoder.error())},
-              &payload);
+          const std::string kind = net::FrameErrorName(s.decoder.error());
           std::string out;
-          net::EncodeFrame(out, net::Verb::kError, 0, payload);
+          net::EncodeFrame(
+              out, net::Verb::kError, 0,
+              ErrorPayload(common::Status::InvalidArgument("frame error: " + kind), 0));
           std::size_t wrote = 0;
           (void)net::WriteSome(s.fd.get(), out.data(), out.size(), &wrote);
-          Teardown(s.id, std::string("frame_error:") + net::FrameErrorName(s.decoder.error()),
-                   /*log_break=*/true);
+          Teardown(s.id, "frame_error:" + kind, /*log_break=*/true);
           return;
         }
       }
@@ -639,7 +640,7 @@ void Server::QueueFrame(Session& s, net::Verb verb, std::uint64_t request_id,
   if (s.dead) {
     return;
   }
-  net::EncodeFrame(s.out, verb, request_id, payload, s.wire_version);
+  net::EncodeFrame(s.out, verb, request_id, payload);
   frames_out_->Increment();
 }
 
@@ -675,7 +676,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
                   "frame_error:malformed_payload");
       return;
     }
-    if (req.wire_version < net::kMinProtocolVersion) {
+    if (req.wire_version != net::kProtocolVersion) {
       FailSession(s, frame.request_id,
                   common::Status::FailedPrecondition(
                       "protocol version mismatch: client " + std::to_string(req.wire_version) +
@@ -684,13 +685,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       return;
     }
     s.hello_done = true;
-    // Speak min(client, server): a v1 client gets v1 frames and payloads; the
-    // frame header's version byte agrees with the payload's restatement for
-    // every client this codebase ships, and the payload is authoritative.
-    s.wire_version = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(req.wire_version, net::kProtocolVersion));
     net::HelloResponse resp;
-    resp.wire_version = s.wire_version;
     resp.heartbeat_interval_us = options_.heartbeat_interval_us;
     resp.heartbeat_misses = options_.heartbeat_misses;
     resp.max_payload = static_cast<std::uint32_t>(options_.max_payload);
@@ -700,6 +695,16 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
     QueueFrame(s, net::Verb::kHello, frame.request_id, payload);
     return;
   }
+
+  // SUBSCRIBE and WATCH name their stream by the request id, which no live
+  // stream of the session may already hold.
+  const auto stream_id_free = [&] {
+    if (s.subs.count(frame.request_id) == 0 && s.watches.count(frame.request_id) == 0) {
+      return true;
+    }
+    SendError(s, frame.request_id, common::Status::AlreadyExists("stream id already in use"), 0);
+    return false;
+  };
 
   switch (frame.verb) {
     case net::Verb::kHeartbeat: {
@@ -735,11 +740,6 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       net::PublishRequest req;
       if (!net::Decode(frame.payload, &req)) {
         break;
-      }
-      if (!req.headers.empty() && s.wire_version < 2) {
-        SendError(s, frame.request_id,
-                  common::Status::InvalidArgument("record headers require protocol v2"), 0);
-        return;
       }
       pubsub::Message msg;
       msg.key = std::move(req.key);
@@ -787,15 +787,15 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       common::TimeMicros retry_after = 0;
       const common::Status st = broker_->TryFetchAsync(
           req.topic, req.partition, req.offset, req.max, &retry_after,
-          [gate = gate_, sid = s.id, rid = frame.request_id,
-           wv = s.wire_version](common::Result<std::vector<pubsub::StoredMessage>> r) {
+          [gate = gate_, sid = s.id,
+           rid = frame.request_id](common::Result<std::vector<pubsub::StoredMessage>> r) {
             if (!r.ok()) {
               gate->Complete(sid, net::Verb::kError, rid, ErrorPayload(r.status(), 0));
               return;
             }
             // "Up to max" records: the longest prefix one frame carries.
             std::string payload;
-            if (net::EncodeBatchPrefix(*r, &payload, wv) == 0 && !r->empty()) {
+            if (net::EncodeBatchPrefix(*r, &payload) == 0 && !r->empty()) {
               gate->Complete(sid, net::Verb::kError, rid,
                              ErrorPayload(TooLargeToFrame(r->front()), 0));
               return;
@@ -812,14 +812,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       if (!net::Decode(frame.payload, &req)) {
         break;
       }
-      if (s.subs.count(frame.request_id) > 0 || s.watches.count(frame.request_id) > 0) {
-        SendError(s, frame.request_id,
-                  common::Status::AlreadyExists("stream id already in use"), 0);
-        return;
-      }
-      if (req.has_filter && s.wire_version < 2) {
-        SendError(s, frame.request_id,
-                  common::Status::InvalidArgument("filtered subscribe requires protocol v2"), 0);
+      if (!stream_id_free()) {
         return;
       }
       runtime::SubscriptionOptions opts;
@@ -828,9 +821,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       // An event-loop consumer never parks in Wait(), so its re-check sweep
       // never runs: every ring must reach the hook (no coalescing).
       opts.wake_coalesce_us = 0;
-      if (req.has_filter) {
-        opts.filter = std::move(req.filter);
-      }
+      opts.filter = std::move(req.filter);  // Filter{} reads unfiltered.
       auto sub = broker_->Subscribe(req.topic, req.partition, req.start, opts);
       if (sub == nullptr) {
         SendError(s, frame.request_id,
@@ -857,29 +848,14 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
                   common::Status::FailedPrecondition("server has no watch plane"), 0);
         return;
       }
-      if (s.subs.count(frame.request_id) > 0 || s.watches.count(frame.request_id) > 0) {
-        SendError(s, frame.request_id,
-                  common::Status::AlreadyExists("stream id already in use"), 0);
-        return;
-      }
-      if (req.has_filter && s.wire_version < 2) {
-        SendError(s, frame.request_id,
-                  common::Status::InvalidArgument("filtered watch requires protocol v2"), 0);
+      if (!stream_id_free()) {
         return;
       }
       auto stream = std::make_unique<WatchStream>();
       stream->queue = std::make_shared<WatchQueue>();
       stream->fan = std::make_unique<WatchFan>(gate_, s.id, stream->queue,
                                                options_.max_watch_queue);
-      if (req.has_filter) {
-        // low/high and the filter's range are encoded to agree; intersecting
-        // honors both if a foreign client ever disagrees.
-        watch::Filter filter = std::move(req.filter);
-        filter.range = common::KeyRange{req.low, req.high}.Intersect(filter.range);
-        stream->handle = watch_->WatchFiltered(std::move(filter), req.version, stream->fan.get());
-      } else {
-        stream->handle = watch_->Watch(req.low, req.high, req.version, stream->fan.get());
-      }
+      stream->handle = watch_->WatchFiltered(std::move(req.filter), req.version, stream->fan.get());
       if (stream->handle == nullptr) {
         // Header predicates: change events carry no headers (docs/FANOUT.md).
         SendError(s, frame.request_id,
@@ -932,11 +908,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       }
       auto watch_it = s.watches.find(frame.request_id);
       if (watch_it != s.watches.end()) {
-        {
-          std::lock_guard<std::mutex> lock(watch_it->second->queue->mu);
-          watch_it->second->queue->dead = true;
-        }
-        watch_it->second->handle->Cancel();
+        watch_it->second->Close();
         s.watches.erase(watch_it);
       }
       QueueFrame(s, net::Verb::kCancel, frame.request_id, "");
@@ -985,7 +957,7 @@ void Server::PumpSubscriptions(Session& s) {
       // A batch larger than one frame goes out as several DELIVERs.
       for (std::span<const pubsub::StoredMessage> rest(batch); !rest.empty();) {
         std::string payload;
-        const std::size_t n = net::EncodeBatchPrefix(rest, &payload, s.wire_version);
+        const std::size_t n = net::EncodeBatchPrefix(rest, &payload);
         if (n == 0) {
           too_large = &rest.front();
           break;
@@ -1053,11 +1025,7 @@ void Server::PumpWatches(Session& s) {
   }
   for (std::uint64_t rid : finished) {
     auto it = s.watches.find(rid);
-    {
-      std::lock_guard<std::mutex> lock(it->second->queue->mu);
-      it->second->queue->dead = true;
-    }
-    it->second->handle->Cancel();
+    it->second->Close();
     s.watches.erase(it);  // W4: the stream is over; CANCEL from the client
                           // later still acks idempotently.
   }
@@ -1087,14 +1055,8 @@ void Server::Teardown(std::uint64_t session_id, const std::string& cause, bool l
     return;
   }
   s->dead = true;
-  // Silence the watch fans before cancelling, so a delivery racing the
-  // cancel cannot enqueue into a stream nobody will drain.
   for (auto& [rid, stream] : s->watches) {
-    {
-      std::lock_guard<std::mutex> lock(stream->queue->mu);
-      stream->queue->dead = true;
-    }
-    stream->handle->Cancel();
+    stream->Close();
   }
   s->watches.clear();
   // ~Subscription posts each shard-side interest removal; the handoff

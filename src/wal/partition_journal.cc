@@ -252,7 +252,7 @@ void PartitionJournal::OnRetention(const pubsub::RetentionEvent& event) {
     PutU64(&record, event.first_offset);
   }
   common::Status status = wal_->Append(record).status();
-  if (status.ok() && options_.auto_gc_segments) {
+  if (status.ok()) {
     status = GcSegments();
   }
   if (!status.ok()) {

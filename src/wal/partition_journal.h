@@ -46,8 +46,6 @@ namespace wal {
 
 struct PartitionJournalOptions {
   LogOptions log;
-  // Attempt segment GC automatically after every retention event.
-  bool auto_gc_segments = true;
 };
 
 class PartitionJournal {
@@ -66,7 +64,8 @@ class PartitionJournal {
 
   // Writes a kSnapshot record and drops the sealed-segment prefix whose
   // appends are all below the partition's first retained offset. No-op (and
-  // no snapshot spam) when nothing is droppable.
+  // no snapshot spam) when nothing is droppable. Runs after every retention
+  // event.
   common::Status GcSegments();
 
   // Sticky first write failure (Ok while healthy).

@@ -11,6 +11,9 @@ namespace {
 // the bytes; recovery only needs to re-establish the cursor.
 common::Status NoopReplay(std::uint64_t, std::string_view) { return common::Status::Ok(); }
 
+// A follower re-requests catch-up if a gap persists this long.
+constexpr common::TimeMicros kCatchUpRetryMicros = 10'000;
+
 }  // namespace
 
 CatchUpSyncer::CatchUpSyncer(sim::Simulator* sim, sim::Network* net, sim::NodeId node, Vfs* vfs,
@@ -87,7 +90,7 @@ void CatchUpSyncer::MaybeRequestCatchUp(const std::string& log_id, LogState* sta
   }
   const common::TimeMicros now = sim_->Now();
   if (state->last_catch_up_request >= 0 &&
-      now < state->last_catch_up_request + options_.catch_up_retry_micros) {
+      now < state->last_catch_up_request + kCatchUpRetryMicros) {
     return;  // A request is in flight; re-ask only after the retry window.
   }
   state->last_catch_up_request = now;

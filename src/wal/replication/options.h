@@ -29,13 +29,9 @@ struct ReplicationOptions {
   // Total number of copies, leader included. 1 disables replication.
   std::size_t replication_factor = 2;
   AckMode ack_mode = AckMode::kQuorum;
-  // Frames sent per catch-up burst before the stream yields to the scheduler.
-  std::size_t catch_up_batch = 64;
   // Bound on a follower's out-of-order frame stash per log; overflow frames
   // are dropped (the catch-up stream re-delivers them).
   std::size_t max_pending_frames = 1024;
-  // A follower re-requests catch-up if a gap persists this long (µs).
-  std::int64_t catch_up_retry_micros = 10'000;
   // LogOptions for a follower's copy of the log with this id ("meta",
   // "t-<topic>/p-<N>"). Should match the leader's options for the same log so
   // promotion hands BrokerJournal::Open a familiarly-shaped directory.

@@ -11,6 +11,8 @@ namespace {
 // Delay between catch-up bursts, so a long stream interleaves with live
 // traffic instead of monopolizing the event queue.
 constexpr common::TimeMicros kStreamBurstGapMicros = 100;
+// Frames sent per catch-up burst before the stream yields to the scheduler.
+constexpr std::size_t kCatchUpBatch = 64;
 }  // namespace
 
 WalShipper::WalShipper(sim::Simulator* sim, sim::Network* net, sim::NodeId node,
@@ -136,13 +138,13 @@ void WalShipper::PumpStream(const sim::NodeId& follower, const std::string& log_
     streams_.erase(it);
     return;
   }
-  // One burst: up to catch_up_batch frames, shipped as one message.
+  // One burst: up to kCatchUpBatch frames, shipped as one message.
   CatchUpSyncer* syncer = fit->second.syncer;
   const std::uint64_t first_index = it->second.reader->next_index();
   std::vector<std::string> burst;
   std::uint64_t index = 0;
   std::string payload;
-  while (burst.size() < options_.catch_up_batch) {
+  while (burst.size() < kCatchUpBatch) {
     auto more = it->second.reader->Next(&index, &payload);
     if (!more.ok() || !more.value()) {
       streams_.erase(it);

@@ -2,7 +2,8 @@
 // incremental decoding under pathological chunking, and the robustness
 // corpus — truncated, bit-flipped, oversized, version-mismatched, and
 // garbage streams must all surface as typed FrameErrors (terminal, loud),
-// never as hangs, bogus frames, or UB.
+// never as hangs, bogus frames, or UB. Each verb has one payload layout, so
+// every strict prefix of a payload fails its codec.
 #include "net/frame_decoder.h"
 
 #include <gtest/gtest.h>
@@ -120,23 +121,26 @@ TEST(FrameTest, BitFlipsAreTypedErrorsNeverFrames) {
 }
 
 TEST(FrameTest, VersionMismatchIsTyped) {
-  // A CRC-sealed header from a future protocol revision: the version check
-  // (not the CRC) must reject it, with its own typed error.
+  // CRC-sealed headers from an older or a future protocol revision: the
+  // version check (not the CRC) must reject each, with its own typed error.
+  // There is one version; no other is accepted.
   const std::string payload = "v";
-  std::string raw;
-  PutU16(raw, kMagic);
-  raw.push_back(static_cast<char>(kProtocolVersion + 1));
-  raw.push_back(static_cast<char>(Verb::kHello));
-  PutU32(raw, static_cast<std::uint32_t>(payload.size()));
-  PutU64(raw, 1);
-  PutU32(raw, wal::MaskCrc(wal::Crc32c(payload)));
-  PutU32(raw, wal::MaskCrc(wal::Crc32c(std::string_view(raw).substr(0, 20))));
-  raw += payload;
-  FrameDecoder dec;
-  dec.Feed(raw);
-  Frame f;
-  ASSERT_EQ(dec.Next(&f), FrameDecoder::Result::kError);
-  EXPECT_EQ(dec.error(), FrameError::kBadVersion);
+  for (const int version : {0, kProtocolVersion - 1, kProtocolVersion + 1, 255}) {
+    std::string raw;
+    PutU16(raw, kMagic);
+    raw.push_back(static_cast<char>(version));
+    raw.push_back(static_cast<char>(Verb::kHello));
+    PutU32(raw, static_cast<std::uint32_t>(payload.size()));
+    PutU64(raw, 1);
+    PutU32(raw, wal::MaskCrc(wal::Crc32c(payload)));
+    PutU32(raw, wal::MaskCrc(wal::Crc32c(std::string_view(raw).substr(0, 20))));
+    raw += payload;
+    FrameDecoder dec;
+    dec.Feed(raw);
+    Frame f;
+    ASSERT_EQ(dec.Next(&f), FrameDecoder::Result::kError) << "version " << version;
+    EXPECT_EQ(dec.error(), FrameError::kBadVersion) << "version " << version;
+  }
 }
 
 TEST(FrameTest, BadMagicBadVerbOversizedAreTyped) {
@@ -331,14 +335,13 @@ TEST(FrameTest, MessageCodecsRoundTrip) {
   }
 }
 
-TEST(FrameTest, FilterBlocksRoundTripAndV1ShapesStillDecode) {
-  // A v2 SUBSCRIBE with a full filter block round-trips every field.
+TEST(FrameTest, EveryFieldRoundTripsAndV1ShapesAreRefused) {
+  // A SUBSCRIBE with a full filter block round-trips every field.
   SubscribeRequest in;
   in.topic = "orders";
   in.partition = 3;
   in.start = 1000;
   in.max_batch = 64;
-  in.has_filter = true;
   in.filter.range = {"aa", "bz"};
   in.filter.key_prefix = "b";
   in.filter.headers.push_back({"region", pubsub::HeaderPredicate::Op::kEq, "eu"});
@@ -347,7 +350,6 @@ TEST(FrameTest, FilterBlocksRoundTripAndV1ShapesStillDecode) {
   Encode(in, &p);
   SubscribeRequest out;
   ASSERT_TRUE(Decode(p, &out));
-  ASSERT_TRUE(out.has_filter);
   EXPECT_EQ(out.filter.range.low, "aa");
   EXPECT_EQ(out.filter.range.high, "bz");
   EXPECT_EQ(out.filter.key_prefix, "b");
@@ -357,40 +359,51 @@ TEST(FrameTest, FilterBlocksRoundTripAndV1ShapesStillDecode) {
   EXPECT_EQ(out.filter.headers[0].value, "eu");
   EXPECT_EQ(out.filter.headers[1].op, pubsub::HeaderPredicate::Op::kExists);
 
-  // The filterless encoding is the v1 shape: it must end at max_batch and
-  // decode as unfiltered (old clients and new servers agree byte for byte).
-  SubscribeRequest v1;
-  v1.topic = "orders";
-  std::string v1_bytes;
-  Encode(v1, &v1_bytes);
-  EXPECT_LT(v1_bytes.size(), p.size());
-  SubscribeRequest v1_out;
-  v1_out.has_filter = true;  // Must be reset by decode.
-  ASSERT_TRUE(Decode(v1_bytes, &v1_out));
-  EXPECT_FALSE(v1_out.has_filter);
+  // An unfiltered SUBSCRIBE carries the match-all filter, which decodes to a
+  // filter that matches everything: the broker keeps its unfiltered read.
+  SubscribeRequest plain;
+  plain.topic = "orders";
+  std::string plain_bytes;
+  Encode(plain, &plain_bytes);
+  SubscribeRequest plain_out = out;  // Every filter field must be overwritten.
+  ASSERT_TRUE(Decode(plain_bytes, &plain_out));
+  EXPECT_TRUE(plain_out.filter.MatchesEverything());
+  EXPECT_TRUE(plain_out.filter.headers.empty());
 
-  // Same deal for WATCH and for PUBLISH's optional header block.
-  WatchRequest w;
-  w.low = "a";
-  w.high = "m";
-  w.version = 7;
-  w.has_filter = true;
-  w.filter.range = {"a", "m"};
-  w.filter.key_prefix = "ab";
+  // The v1 shape (the fixed fields alone, ending at max_batch) is refused.
+  std::string v1;
+  {
+    Writer w(&v1);
+    w.Str("orders");
+    w.U32(0);
+    w.U64(0);
+    w.U32(256);
+  }
+  EXPECT_FALSE(Decode(v1, &out));
+
+  // WATCH: the filter's range is the watch range.
+  WatchRequest watch;
+  watch.version = 7;
+  watch.filter.range = {"a", "m"};
+  watch.filter.key_prefix = "ab";
   p.clear();
-  Encode(w, &p);
+  Encode(watch, &p);
   WatchRequest wout;
   ASSERT_TRUE(Decode(p, &wout));
-  ASSERT_TRUE(wout.has_filter);
+  EXPECT_EQ(wout.version, 7u);
+  EXPECT_EQ(wout.filter.range.low, "a");
+  EXPECT_EQ(wout.filter.range.high, "m");
   EXPECT_EQ(wout.filter.key_prefix, "ab");
-  w.has_filter = false;
-  w.filter = {};
-  p.clear();
-  Encode(w, &p);
-  wout.has_filter = true;
-  ASSERT_TRUE(Decode(p, &wout));
-  EXPECT_FALSE(wout.has_filter);
+  std::string watch_v1;  // low, high, version: the old range-only shape.
+  {
+    Writer w(&watch_v1);
+    w.Str("a");
+    w.Str("m");
+    w.U64(7);
+  }
+  EXPECT_FALSE(Decode(watch_v1, &wout));
 
+  // PUBLISH always carries its header block, empty or not.
   PublishRequest pub;
   pub.topic = "t";
   pub.key = "k";
@@ -402,106 +415,110 @@ TEST(FrameTest, FilterBlocksRoundTripAndV1ShapesStillDecode) {
   ASSERT_TRUE(Decode(p, &pout));
   EXPECT_EQ(pout.headers, pub.headers);
   pub.headers.clear();
-  p.clear();
-  Encode(pub, &p);
+  std::string headerless;
+  Encode(pub, &headerless);
+  // Two name/value pairs fewer; the empty block keeps its 4-byte count.
+  EXPECT_EQ(p.size() - headerless.size(), 2u * (4 + 2 + 4 + 1));
   pout.headers = {{"stale", "stale"}};
-  ASSERT_TRUE(Decode(p, &pout));
+  ASSERT_TRUE(Decode(headerless, &pout));
   EXPECT_TRUE(pout.headers.empty());
+  // The v1 shape ends after publish_time, without the count: refused.
+  EXPECT_FALSE(Decode(std::string_view(headerless).substr(0, headerless.size() - 4), &pout));
 }
 
-TEST(FrameTest, FilterFrameBitFlipsAndTruncationsNeverDecode) {
-  // The full fuzz demanded by the protocol: a SUBSCRIBE/WATCH frame carrying
-  // a filter block, with every byte bit-flipped — the frame CRCs must refuse
-  // all of them (no corrupted filter ever reaches the codec) — and every
-  // payload truncation must fail the codec, except the one prefix that IS
-  // the valid v1 shape, which must decode as unfiltered, never as a mangled
-  // filter.
-  SubscribeRequest sub;
-  sub.topic = "t";
-  sub.max_batch = 32;
-  sub.has_filter = true;
-  sub.filter.range = {"k0", "k9"};
-  sub.filter.key_prefix = "k";
-  sub.filter.headers.push_back({"h", pubsub::HeaderPredicate::Op::kNe, "x"});
-  std::string sub_payload;
-  Encode(sub, &sub_payload);
-
-  WatchRequest wreq;
-  wreq.low = "a";
-  wreq.high = "z";
-  wreq.has_filter = true;
-  wreq.filter.range = {"a", "z"};
-  wreq.filter.key_prefix = "ab";
-  std::string watch_payload;
-  Encode(wreq, &watch_payload);
-
-  for (const auto& [verb, payload] :
-       {std::pair<Verb, std::string>{Verb::kSubscribe, sub_payload},
-        std::pair<Verb, std::string>{Verb::kWatch, watch_payload}}) {
-    const std::string frame = OneFrame(verb, 11, payload);
-    for (std::size_t i = 0; i < frame.size(); ++i) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string corrupt = frame;
-        corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
-        FrameDecoder dec;
-        dec.Feed(corrupt);
-        Frame f;
-        if (dec.Next(&f) == FrameDecoder::Result::kFrame) {
-          ADD_FAILURE() << "flip at byte " << i << " bit " << bit << " yielded a frame";
-        }
-      }
-    }
-
-    // Payload truncations: every strict prefix either fails the codec or is
-    // exactly the v1 boundary (decodes with no filter). A truncation landing
-    // inside the filter block can never "shrink" into a smaller valid
-    // filter.
-    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-      const std::string_view prefix = std::string_view(payload).substr(0, cut);
-      if (verb == Verb::kSubscribe) {
-        SubscribeRequest out;
-        if (Decode(prefix, &out)) {
-          EXPECT_FALSE(out.has_filter) << "cut " << cut;
-        }
-      } else {
-        WatchRequest out;
-        if (Decode(prefix, &out)) {
-          EXPECT_FALSE(out.has_filter) << "cut " << cut;
-        }
+// Every byte of a frame bit-flipped, and every strict prefix of its payload
+// decoded: the CRCs refuse every flip, and no truncation decodes.
+template <typename Request>
+void ExpectFlipsAndTruncationsNeverDecode(Verb verb, const Request& request) {
+  std::string payload;
+  Encode(request, &payload);
+  Request whole;
+  ASSERT_TRUE(Decode(payload, &whole));
+  const std::string frame = OneFrame(verb, 11, payload);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = frame;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
+      FrameDecoder dec;
+      dec.Feed(corrupt);
+      Frame f;
+      if (dec.Next(&f) == FrameDecoder::Result::kFrame) {
+        ADD_FAILURE() << VerbName(verb) << ": flip at byte " << i << " bit " << bit
+                      << " yielded a frame";
       }
     }
   }
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    Request out;
+    EXPECT_FALSE(Decode(std::string_view(payload).substr(0, cut), &out))
+        << VerbName(verb) << ": a " << cut << "-byte prefix of " << payload.size() << " decoded";
+  }
+}
 
-  // A present-but-false filter flag is a malformation, not "no filter":
-  // the only legal encodings are absence or Bool(true)+block.
-  SubscribeRequest plain;
-  plain.topic = "t";
-  std::string mangled;
-  Encode(plain, &mangled);
-  mangled.push_back('\0');  // Bool(false) where a filter block could start.
+TEST(FrameTest, FilterFrameBitFlipsAndTruncationsNeverDecode) {
+  SubscribeRequest sub;
+  sub.topic = "t";
+  sub.max_batch = 32;
+  sub.filter.range = {"k0", "k9"};
+  sub.filter.key_prefix = "k";
+  sub.filter.headers.push_back({"h", pubsub::HeaderPredicate::Op::kNe, "x"});
+  ExpectFlipsAndTruncationsNeverDecode(Verb::kSubscribe, sub);
+  SubscribeRequest unfiltered;  // The match-all filter is a block like any other.
+  unfiltered.topic = "t";
+  ExpectFlipsAndTruncationsNeverDecode(Verb::kSubscribe, unfiltered);
+
+  WatchRequest wreq;
+  wreq.filter.range = {"a", "z"};
+  wreq.filter.key_prefix = "ab";
+  ExpectFlipsAndTruncationsNeverDecode(Verb::kWatch, wreq);
+
+  // A trailing byte after the filter block is a malformation.
+  std::string trailing;
+  Encode(sub, &trailing);
+  trailing.push_back('\0');
   SubscribeRequest out;
-  EXPECT_FALSE(Decode(mangled, &out));
+  EXPECT_FALSE(Decode(trailing, &out));
 
-  // Random slices of the filter block spliced onto a v1 payload: never a
-  // silent success with has_filter set from garbage.
+  // Random bytes in place of the filter block: a decode that succeeds must
+  // have parsed fully and self-consistently — ops in range, exact end.
+  std::string fixed;
+  {
+    Writer w(&fixed);
+    w.Str("t");
+    w.U32(0);
+    w.U64(0);
+    w.U32(32);
+  }
   common::Rng rng(0x51f7e2);
-  const std::size_t v1_len = mangled.size() - 1;
   for (int round = 0; round < 300; ++round) {
-    std::string spliced = mangled.substr(0, v1_len);
-    const std::size_t n = 1 + rng.Below(sub_payload.size());
+    std::string spliced = fixed;
+    const std::size_t n = 1 + rng.Below(64);
     for (std::size_t i = 0; i < n; ++i) {
       spliced.push_back(static_cast<char>(rng.Below(256)));
     }
     SubscribeRequest sout;
-    if (Decode(spliced, &sout) && sout.has_filter) {
-      // Decoding random bytes as a filter is allowed only if it parsed
-      // fully and self-consistently — ops in range, exact end.
+    if (Decode(spliced, &sout)) {
       for (const pubsub::HeaderPredicate& pred : sout.filter.headers) {
         EXPECT_LE(static_cast<int>(pred.op),
                   static_cast<int>(pubsub::HeaderPredicate::Op::kNe));
       }
     }
   }
+}
+
+TEST(FrameTest, PublishFrameBitFlipsAndTruncationsNeverDecode) {
+  PublishRequest pub;
+  pub.topic = "t";
+  pub.ack = PublishAck::kOffset;
+  pub.has_partition = true;
+  pub.partition = 2;
+  pub.key = "k";
+  pub.value = "value";
+  pub.publish_time = 99;
+  pub.headers = {{"region", "eu"}, {"tier", ""}};
+  ExpectFlipsAndTruncationsNeverDecode(Verb::kPublish, pub);
+  pub.headers.clear();  // The empty header block is still a block.
+  ExpectFlipsAndTruncationsNeverDecode(Verb::kPublish, pub);
 }
 
 TEST(FrameTest, MalformedPayloadsRejectLoudly) {

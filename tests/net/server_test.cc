@@ -121,12 +121,15 @@ struct Harness {
     return pred();
   }
 
-  bool SawSessionBreak(const std::string& cause) {
+  int SessionBreaks(const std::string& cause) {
+    int n = 0;
     for (const obs::ObsEvent& e : obs.Events()) {
-      if (e.kind == obs::EventKind::kSessionBreak && e.cause == cause) return true;
+      n += e.kind == obs::EventKind::kSessionBreak && e.cause == cause ? 1 : 0;
     }
-    return false;
+    return n;
   }
+
+  bool SawSessionBreak(const std::string& cause) { return SessionBreaks(cause) > 0; }
 
   common::MetricsRegistry obs_metrics;
   obs::Collector obs{&obs_metrics};
@@ -202,6 +205,18 @@ struct RawConn {
   std::string payload;
 };
 
+// A CRC-sealed frame whose header states `version`.
+std::string FrameStatingVersion(int version, net::Verb verb, std::uint64_t rid,
+                                const std::string& payload) {
+  std::string out;
+  net::EncodeFrame(out, verb, rid, payload);
+  out[2] = static_cast<char>(version);
+  std::string header_crc;
+  net::PutU32(header_crc, wal::MaskCrc(wal::Crc32c(std::string_view(out).substr(0, 20))));
+  out.replace(20, 4, header_crc);
+  return out;
+}
+
 TEST(ServerTest, HelloHandshakeAdvertisesContract) {
   ServerOptions so;
   so.name = "pubsubd-test";
@@ -241,6 +256,66 @@ TEST(ServerTest, RequestBeforeHelloIsRefusedAndFatal) {
   ASSERT_TRUE(net::Decode(f.payload, &err));
   EXPECT_EQ(err.code, static_cast<std::uint32_t>(StatusCode::kFailedPrecondition));
   EXPECT_TRUE(raw.AwaitClose());
+}
+
+// There is one protocol version: a HELLO stating any other draws an ERROR
+// echoing its request id, and the session ends loudly.
+TEST(ServerTest, HelloStatingAnotherVersionIsRefusedAndFatal) {
+  Harness h;
+  for (const std::uint32_t version : {net::kProtocolVersion - 1u, net::kProtocolVersion + 1u}) {
+    RawConn raw(h.server->port());
+    net::HelloRequest req;
+    req.wire_version = version;
+    req.client_name = "other-version";
+    std::string p;
+    net::Encode(req, &p);
+    raw.Send(net::Verb::kHello, 17, p);
+    net::Frame f;
+    ASSERT_TRUE(raw.Recv(&f)) << "version " << version;
+    EXPECT_EQ(f.verb, net::Verb::kError) << "version " << version;
+    EXPECT_EQ(f.request_id, 17u);
+    net::ErrorBody err;
+    ASSERT_TRUE(net::Decode(f.payload, &err));
+    EXPECT_EQ(err.code, static_cast<std::uint32_t>(StatusCode::kFailedPrecondition));
+    EXPECT_TRUE(raw.AwaitClose()) << "version " << version;
+  }
+  // Teardown logs the break after it closes the socket: wait for the log.
+  EXPECT_TRUE(h.Eventually([&] { return h.SessionBreaks("frame_error:version_mismatch") == 2; }));
+}
+
+// A frame header stating another version is refused by the decoder, before
+// or after the handshake: the session ends as frame_error:bad_version.
+TEST(ServerTest, FrameHeaderStatingAnotherVersionEndsTheSession) {
+  Harness h;
+  struct Case {
+    bool handshake_first;
+    int version;
+  };
+  const Case cases[] = {{false, net::kProtocolVersion - 1},
+                        {true, net::kProtocolVersion - 1},
+                        {true, net::kProtocolVersion + 1}};
+  for (const Case& c : cases) {
+    RawConn raw(h.server->port());
+    std::string frame;
+    if (c.handshake_first) {
+      raw.Hello();
+      std::string beat;
+      net::Encode(net::HeartbeatBody{42}, &beat);
+      frame = FrameStatingVersion(c.version, net::Verb::kHeartbeat, 2, beat);
+    } else {
+      std::string hello;
+      net::Encode(net::HelloRequest{}, &hello);
+      frame = FrameStatingVersion(c.version, net::Verb::kHello, 1, hello);
+    }
+    raw.SendRaw(frame);
+    net::Frame f;
+    if (raw.Recv(&f)) {  // Best-effort connection-level ERROR, then close.
+      EXPECT_EQ(f.verb, net::Verb::kError) << "version " << c.version;
+      EXPECT_EQ(f.request_id, 0u);
+    }
+    EXPECT_TRUE(raw.AwaitClose()) << "version " << c.version;
+  }
+  EXPECT_TRUE(h.Eventually([&] { return h.SessionBreaks("frame_error:bad_version") == 3; }));
 }
 
 TEST(ServerTest, PublishFetchAllAckLevels) {
@@ -403,6 +478,56 @@ TEST(ServerTest, WatchStreamsEventsProgressAndResync) {
   EXPECT_EQ(events[1].event.mutation.kind, common::MutationKind::kDelete);
   EXPECT_FALSE((*w)->resynced());
   (*w)->Cancel();
+}
+
+// SUBSCRIBE and WATCH name their stream by the request id: either verb
+// reusing the id of a live stream of either kind is refused, and the session
+// and its streams live on.
+TEST(ServerTest, StreamIdInUseIsRefusedForSubscribeAndWatch) {
+  Harness h;
+  ASSERT_TRUE(h.broker->CreateTopic("t", {}).ok());
+  RawConn raw(h.server->port());
+  raw.Hello();
+  // The next frame that is not a push (the watch may push progress).
+  const auto reply = [&raw](net::Frame* f) {
+    while (raw.Recv(f)) {
+      if (f->verb != net::Verb::kDeliver && f->verb != net::Verb::kWatchPush) {
+        return true;
+      }
+    }
+    return false;
+  };
+  net::SubscribeRequest sub_req;
+  sub_req.topic = "t";
+  std::string sub;
+  net::Encode(sub_req, &sub);
+  std::string watch;
+  net::Encode(net::WatchRequest{}, &watch);
+  net::Frame f;
+  raw.Send(net::Verb::kSubscribe, 5, sub);
+  ASSERT_TRUE(reply(&f));
+  ASSERT_EQ(f.verb, net::Verb::kSubscribe);
+  raw.Send(net::Verb::kWatch, 6, watch);
+  ASSERT_TRUE(reply(&f));
+  ASSERT_EQ(f.verb, net::Verb::kWatch);
+  for (const std::uint64_t rid : {5u, 6u}) {
+    for (const auto& [verb, payload] : {std::pair{net::Verb::kSubscribe, sub},
+                                        std::pair{net::Verb::kWatch, watch}}) {
+      raw.Send(verb, rid, payload);
+      ASSERT_TRUE(reply(&f));
+      EXPECT_EQ(f.verb, net::Verb::kError) << net::VerbName(verb) << " on " << rid;
+      EXPECT_EQ(f.request_id, rid);
+      net::ErrorBody err;
+      ASSERT_TRUE(net::Decode(f.payload, &err));
+      EXPECT_EQ(err.code, static_cast<std::uint32_t>(StatusCode::kAlreadyExists));
+    }
+  }
+  std::string beat;
+  net::Encode(net::HeartbeatBody{7}, &beat);
+  raw.Send(net::Verb::kHeartbeat, 9, beat);
+  ASSERT_TRUE(reply(&f));
+  EXPECT_EQ(f.verb, net::Verb::kHeartbeat);
+  EXPECT_EQ(h.server->sessions_closed(), 0u);
 }
 
 TEST(ServerTest, WatchRefusedWithoutWatchService) {
@@ -973,6 +1098,75 @@ TEST(ServerTest, MaxConnectionsRefusesTheOverflowConnection) {
   // Existing sessions are unaffected.
   EXPECT_TRUE((*a)->Ping().ok());
   EXPECT_TRUE((*b)->Ping().ok());
+}
+
+// The client side of the one-version rule: a stand-in server answers HELLO
+// with another version, and Connect fails without sending anything more.
+TEST(ServerTest, ConnectFailsAgainstAServerStatingAnotherVersion) {
+  for (const std::uint32_t version : {net::kProtocolVersion - 1u, net::kProtocolVersion + 1u}) {
+    int port = 0;
+    common::Result<net::Fd> listener = net::TcpListen("127.0.0.1", 0, 1, &port);
+    ASSERT_TRUE(listener.ok());
+    std::thread stand_in([&] {
+      ASSERT_TRUE(net::WaitReadable(listener->get(), 5'000'000));
+      RawConn conn(net::Fd(::accept(listener->get(), nullptr, nullptr)));
+      net::Frame f;
+      ASSERT_TRUE(conn.Recv(&f));
+      ASSERT_EQ(f.verb, net::Verb::kHello);
+      net::HelloResponse hello;
+      hello.wire_version = version;
+      hello.heartbeat_interval_us = 3600 * common::kMicrosPerSecond;
+      hello.heartbeat_misses = 3;
+      hello.max_payload = net::kMaxPayload;
+      std::string payload;
+      net::Encode(hello, &payload);
+      conn.Send(net::Verb::kHello, f.request_id, payload);
+      net::Frame extra;
+      EXPECT_FALSE(conn.Recv(&extra)) << "a refused client sent " << net::VerbName(extra.verb);
+    });
+    {
+      client::ClientOptions options;
+      options.auto_heartbeat = false;
+      auto c = client::Client::Connect("127.0.0.1", port, options);
+      EXPECT_FALSE(c.ok()) << "version " << version;
+      if (!c.ok()) {
+        EXPECT_NE(c.status().message().find("version mismatch"), std::string::npos)
+            << c.status().message();
+      }
+    }  // A client that connected anyway closes here, ending the stand-in.
+    stand_in.join();
+  }
+}
+
+// The client holds every request to the payload bound the server advertised
+// in HELLO. An oversized one is refused locally with kInvalidArgument, and
+// the connection and its open stream live on; sent, it would have ended the
+// session (frame_error:oversized) and reset the connection.
+TEST(ServerTest, ClientRefusesARequestOverTheServersPayloadBound) {
+  Harness h;  // The default bound: 1 MiB.
+  auto c = h.Connect();
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ((*c)->server_hello().max_payload, 1u << 20);
+  ASSERT_TRUE((*c)->CreateTopic("bound", {}).ok());
+  auto sub = (*c)->Subscribe("bound", 0, 0);
+  ASSERT_TRUE(sub.ok()) << sub.status().message();
+
+  const std::string too_big(2u << 20, 'x');
+  pubsub::PublishResult pr;
+  const Status refused = (*c)->Publish("bound", "k", too_big, 0, net::PublishAck::kOffset, &pr);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused.message();
+  auto refused_sub = (*c)->Subscribe(too_big, 0, 0);  // Stream opens too.
+  EXPECT_EQ(refused_sub.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE((*c)->broken());
+  EXPECT_TRUE((*c)->Ping().ok());
+
+  ASSERT_TRUE((*c)->Publish("bound", "k", "small", 0, net::PublishAck::kOffset, &pr).ok());
+  EXPECT_EQ(pr.offset, 0u);
+  std::vector<pubsub::StoredMessage> got;
+  ASSERT_EQ((*sub)->Poll(&got, 10, 5'000'000), 1u);
+  EXPECT_EQ(got[0].message.value, "small");
+  EXPECT_EQ(h.pool->metrics().counter("net.frame_errors").value(), 0);
+  EXPECT_EQ(h.server->sessions_closed(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // filtering — same records, same order, same offsets, same headers, same
 // commit state. Proven over a seeded random workload both in-process
 // (runtime::Subscription against the ConcurrentBroker) and over the socket
-// (client::Subscription against pubsubd with the v2 filter block). The
+// (client::Subscription against pubsubd with the SUBSCRIBE filter block). The
 // broker-side path is the whole point of the interest index; this suite is
 // the proof that it buys O(matching) fanout without changing semantics.
 #include <gtest/gtest.h>
@@ -216,7 +216,6 @@ TEST(FilteredEquivalenceTest, OverTheSocketFilteredMatchesUnfilteredPlusDrop) {
 
   auto publisher = client::Client::Connect("127.0.0.1", h.server->port());
   ASSERT_TRUE(publisher.ok());
-  ASSERT_EQ((*publisher)->wire_version(), 2u);
 
   std::vector<pubsub::Filter> filters;
   std::vector<std::unique_ptr<client::Client>> clients;
@@ -268,6 +267,10 @@ TEST(FilteredEquivalenceTest, OverTheSocketFilteredMatchesUnfilteredPlusDrop) {
       (void)plain_subs[i]->Poll(&all, 256, 100'000);
     }
     ASSERT_EQ(all.size(), kMessages) << "filter " << i;
+    // Every record crosses the wire with its headers.
+    for (std::size_t k = 0; k < kMessages; ++k) {
+      EXPECT_EQ(all[k].message.headers, published[k].headers) << "filter " << i << " at " << k;
+    }
     std::vector<pubsub::StoredMessage> dropped;
     for (pubsub::StoredMessage& sm : all) {
       if (filters[i].Matches(sm.message)) {
@@ -279,68 +282,6 @@ TEST(FilteredEquivalenceTest, OverTheSocketFilteredMatchesUnfilteredPlusDrop) {
   filtered_subs.clear();
   plain_subs.clear();
   clients.clear();
-}
-
-TEST(FilteredEquivalenceTest, V1ClientRoundTripsAgainstV2Server) {
-  NetHarness h;
-  ASSERT_TRUE(h.broker->CreateTopic("old", {.partitions = 1}).ok());
-
-  client::ClientOptions co;
-  co.wire_version = 1;
-  auto c = client::Client::Connect("127.0.0.1", h.server->port(), co);
-  ASSERT_TRUE(c.ok()) << c.status().message();
-  EXPECT_EQ((*c)->wire_version(), 1u);
-  EXPECT_EQ((*c)->server_hello().wire_version, 1u);
-
-  // The v1 surface is fully functional: publish (headerless), fetch,
-  // subscribe, watch, commit.
-  pubsub::PublishResult pr;
-  ASSERT_TRUE((*c)->Publish("old", "k1", "v1", 0, net::PublishAck::kOffset, &pr).ok());
-  auto fetched = (*c)->Fetch("old", 0, 0, 16);
-  ASSERT_TRUE(fetched.ok());
-  ASSERT_EQ(fetched->size(), 1u);
-  EXPECT_EQ((*fetched)[0].message.key, "k1");
-  EXPECT_TRUE((*fetched)[0].message.headers.empty());
-
-  auto sub = (*c)->Subscribe("old", 0, 0);
-  ASSERT_TRUE(sub.ok());
-  std::vector<pubsub::StoredMessage> got;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (got.empty() && std::chrono::steady_clock::now() < deadline) {
-    (void)(*sub)->Poll(&got, 16, 100'000);
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].message.value, "v1");
-
-  // v2-only features are refused loudly client-side, not silently dropped.
-  pubsub::Filter f;
-  f.key_prefix = "k";
-  auto filtered = (*c)->Subscribe("old", 0, 0, 16, f);
-  EXPECT_FALSE(filtered.ok());
-  EXPECT_EQ(filtered.status().code(), common::StatusCode::kInvalidArgument);
-  EXPECT_FALSE(
-      (*c)->Publish("old", "k", "v", 0, net::PublishAck::kAccept, nullptr, 0, {{"h", "x"}})
-          .ok());
-
-  // Meanwhile a v2 client with headers coexists on the same server; the v1
-  // client's deliveries for the same topic stay headerless on its wire.
-  auto c2 = client::Client::Connect("127.0.0.1", h.server->port());
-  ASSERT_TRUE(c2.ok());
-  ASSERT_TRUE((*c2)
-                  ->Publish("old", "k2", "v2", 0, net::PublishAck::kOffset, nullptr, 0,
-                            {{"h0", "x"}})
-                  .ok());
-  got.clear();
-  while (got.empty() && std::chrono::steady_clock::now() < deadline) {
-    (void)(*sub)->Poll(&got, 16, 100'000);
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].message.key, "k2");
-  EXPECT_TRUE(got[0].message.headers.empty());  // v1 batches omit headers.
-  auto v2_fetch = (*c2)->Fetch("old", 0, got[0].offset, 1);
-  ASSERT_TRUE(v2_fetch.ok());
-  ASSERT_EQ(v2_fetch->size(), 1u);
-  EXPECT_EQ((*v2_fetch)[0].message.headers, (pubsub::Headers{{"h0", "x"}}));
 }
 
 // Concurrent filtered subscribe/unsubscribe/append churn: the TSan target.
