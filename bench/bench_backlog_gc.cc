@@ -14,7 +14,9 @@
 //   --durable  back the pubsub broker with the segmented WAL (fault-free
 //              FaultVfs) and additionally measure journaling volume, segment
 //              GC, and post-run crash-recovery cost (experiment D1).
-//   --json     emit machine-readable JSON instead of the text tables.
+//   --json     emit machine-readable JSON instead of the text tables. The
+//              JSON states the host's hardware_concurrency and the build
+//              type, since wal_recovery_ms is a wall-clock time.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/table.h"
@@ -262,8 +265,10 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{\n  \"bench\": \"backlog_gc\",\n  \"durable\": %s,\n",
-                durable ? "true" : "false");
+    std::printf("{\n  \"bench\": \"backlog_gc\",\n  \"durable\": %s,\n"
+                "  \"hardware_concurrency\": %u,\n  \"build_type\": \"%s\",\n",
+                durable ? "true" : "false", std::thread::hardware_concurrency(),
+                PUBSUB_BUILD_TYPE);
     std::printf("  \"e1\": [\n");
     for (std::size_t i = 0; i < outages.size(); ++i) {
       const PubsubResult& p = pubsub_rows[i];

@@ -44,7 +44,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out) {
     return Fail(FrameError::kBadVersion);
   }
   const std::uint32_t stored_header_crc = GetU32(h + 20);
-  if (wal::UnmaskCrc(stored_header_crc) != wal::Crc32c({h, kHeaderSize - 4})) {
+  if (common::UnmaskCrc(stored_header_crc) != common::Crc32c({h, kHeaderSize - 4})) {
     return Fail(FrameError::kHeaderCorrupt);
   }
   if (!KnownVerb(static_cast<std::uint8_t>(h[3]))) {
@@ -59,7 +59,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out) {
   }
   const std::string_view payload{buffer_.data() + head_ + kHeaderSize, payload_len};
   const std::uint32_t stored_payload_crc = GetU32(h + 16);
-  if (wal::UnmaskCrc(stored_payload_crc) != wal::Crc32c(payload)) {
+  if (common::UnmaskCrc(stored_payload_crc) != common::Crc32c(payload)) {
     return Fail(FrameError::kPayloadCorrupt);
   }
   out->verb = static_cast<Verb>(h[3]);

@@ -17,12 +17,13 @@
 //       20     4  header_crc   masked CRC32C of bytes [0, 20)
 //       24   len  payload
 //
-// Both CRCs use the WAL's masked CRC32C (wal/crc32c.h) so a frame whose
-// payload itself carries CRCs does not degenerate. The header CRC makes
-// truncation, bit flips, and desync (mid-stream garbage) detectable before a
-// corrupt length field can commit the decoder to a bogus read; the payload
-// CRC guards the body. Any integrity failure is terminal for the connection:
-// a byte stream that has lost framing cannot be trusted to regain it.
+// Both CRCs are the masked common::Crc32c (common/crc32c.h), the WAL's
+// checksum too, so a frame whose payload itself carries CRCs does not
+// degenerate. The header CRC makes truncation, bit flips, and desync
+// (mid-stream garbage) detectable before a corrupt length field can commit
+// the decoder to a bogus read; the payload CRC guards the body. Any
+// integrity failure is terminal for the connection: a byte stream that has
+// lost framing cannot be trusted to regain it.
 #ifndef SRC_NET_WIRE_H_
 #define SRC_NET_WIRE_H_
 
@@ -32,7 +33,7 @@
 #include <string>
 #include <string_view>
 
-#include "wal/crc32c.h"
+#include "common/crc32c.h"
 
 namespace net {
 
@@ -148,8 +149,8 @@ inline void EncodeFrame(std::string& out, Verb verb, std::uint64_t request_id,
   out.push_back(static_cast<char>(verb));
   PutU32(out, static_cast<std::uint32_t>(payload.size()));
   PutU64(out, request_id);
-  PutU32(out, wal::MaskCrc(wal::Crc32c(payload)));
-  PutU32(out, wal::MaskCrc(wal::Crc32c({out.data() + header_at, kHeaderSize - 4})));
+  PutU32(out, common::MaskCrc(common::Crc32c(payload)));
+  PutU32(out, common::MaskCrc(common::Crc32c({out.data() + header_at, kHeaderSize - 4})));
   out.append(payload.data(), payload.size());
 }
 

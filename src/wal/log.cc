@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "wal/crc32c.h"
+#include "common/crc32c.h"
 #include "wal/record_codec.h"
 
 namespace wal {
@@ -40,7 +40,20 @@ bool ParseSegmentName(const std::string& name, std::uint64_t* first_index) {
   return true;
 }
 
-std::uint32_t FrameCrc(std::string_view index_and_payload) { return Crc32c(index_and_payload); }
+std::uint32_t FrameCrc(std::string_view index_and_payload) {
+  return common::Crc32c(index_and_payload);
+}
+
+// Bytes of the frame at `pos`, or 0 when its header or payload would run
+// past the end of `data`.
+std::size_t FrameBytesAt(std::string_view data, std::size_t pos) {
+  const std::size_t left = data.size() - pos;
+  if (left < kFrameHeaderBytes) {
+    return 0;
+  }
+  const std::uint32_t len = DecodeU32(data.data() + pos + 4);
+  return left - kFrameHeaderBytes < len ? 0 : kFrameHeaderBytes + len;
+}
 
 // Appends one frame for record `index` to `out`.
 void PutFrame(std::string* out, std::uint64_t index, std::string_view payload) {
@@ -49,8 +62,9 @@ void PutFrame(std::string* out, std::uint64_t index, std::string_view payload) {
   PutU32(out, static_cast<std::uint32_t>(payload.size()));
   PutU64(out, index);
   out->append(payload);
-  const std::uint32_t crc = Crc32c(payload, Crc32c(std::string_view(out->data() + at + 8, 8)));
-  const std::uint32_t masked = MaskCrc(crc);
+  const std::uint32_t crc =
+      common::Crc32c(payload, common::Crc32c(std::string_view(out->data() + at + 8, 8)));
+  const std::uint32_t masked = common::MaskCrc(crc);
   for (int i = 0; i < 4; ++i) {
     (*out)[at + static_cast<std::size_t>(i)] = static_cast<char>((masked >> (8 * i)) & 0xffu);
   }
@@ -129,7 +143,7 @@ common::Result<std::unique_ptr<Log>> Log::Open(Vfs* vfs, std::string dir, LogOpt
       if (data.size() - pos < kFrameHeaderBytes) {
         frame_error = "truncated frame header";
       } else {
-        const std::uint32_t stored_crc = UnmaskCrc(DecodeU32(data.data() + pos));
+        const std::uint32_t stored_crc = common::UnmaskCrc(DecodeU32(data.data() + pos));
         const std::uint32_t len = DecodeU32(data.data() + pos + 4);
         index = DecodeU64(data.data() + pos + 8);
         if (data.size() - pos - kFrameHeaderBytes < len) {
@@ -337,19 +351,21 @@ common::Status LogReader::LoadSegmentContaining(std::uint64_t index) {
   cached_ = std::move(contents.value());
   cached_first_ = seg->first_index;
   cached_pos_ = 0;
-  cache_valid_ = true;
+  cache_valid_ = false;
   // Walk frames from the segment head to the cursor (frames are variable
-  // length, so there is no random access by index).
-  std::uint64_t at = seg->first_index;
-  while (at < index) {
-    if (cached_.size() - cached_pos_ < kFrameHeaderBytes) {
-      return common::Status::Internal("wal reader: truncated frame while seeking in " +
-                                      log_->SegmentPath(seg->first_index));
+  // length, so there is no random access by index). Every length is bounded
+  // by the bytes left, so a corrupt one fails the seek instead of moving the
+  // cursor past the buffer.
+  for (std::uint64_t at = seg->first_index; at < index; ++at) {
+    const std::size_t frame_bytes = FrameBytesAt(cached_, cached_pos_);
+    if (frame_bytes == 0) {
+      return common::Status::Internal("wal reader: frame " + std::to_string(at) +
+                                      " overruns segment " +
+                                      log_->SegmentPath(seg->first_index) + " while seeking");
     }
-    const std::uint32_t len = DecodeU32(cached_.data() + cached_pos_ + 4);
-    cached_pos_ += kFrameHeaderBytes + len;
-    ++at;
+    cached_pos_ += frame_bytes;
   }
+  cache_valid_ = true;
   return common::Status::Ok();
 }
 
@@ -365,20 +381,21 @@ common::Result<bool> LogReader::Next(std::uint64_t* index, std::string* payload)
   if (!in_cached_segment) {
     RETURN_IF_ERROR(LoadSegmentContaining(next_index_));
   }
-  if (cached_.size() - cached_pos_ < kFrameHeaderBytes) {
-    return common::Status::Internal("wal reader: truncated frame header in segment " +
-                                    std::to_string(cached_first_));
-  }
-  const std::uint32_t len = DecodeU32(cached_.data() + cached_pos_ + 4);
-  const std::uint64_t frame_index = DecodeU64(cached_.data() + cached_pos_ + 8);
-  if (cached_.size() - cached_pos_ - kFrameHeaderBytes < len || frame_index != next_index_) {
-    return common::Status::Internal("wal reader: unexpected frame (index " +
-                                    std::to_string(frame_index) + ", want " +
-                                    std::to_string(next_index_) + ")");
+  // The frame at the cursor is handed out only whole, at the wanted index
+  // and under a matching CRC, as recovery would accept it. A refusal names
+  // the index and leaves the cursor on it.
+  const char* frame = cached_.data() + cached_pos_;
+  const std::size_t frame_bytes = FrameBytesAt(cached_, cached_pos_);
+  if (frame_bytes == 0 || DecodeU64(frame + 8) != next_index_ ||
+      common::UnmaskCrc(DecodeU32(frame)) != FrameCrc({frame + 8, frame_bytes - 8})) {
+    return common::Status::Internal("wal reader: refused frame at index " +
+                                    std::to_string(next_index_) + " in segment " +
+                                    std::to_string(cached_first_) +
+                                    " (truncated, wrong index or crc mismatch)");
   }
   *index = next_index_;
-  payload->assign(cached_.data() + cached_pos_ + kFrameHeaderBytes, len);
-  cached_pos_ += kFrameHeaderBytes + len;
+  payload->assign(frame + kFrameHeaderBytes, frame_bytes - kFrameHeaderBytes);
+  cached_pos_ += frame_bytes;
   ++next_index_;
   return true;
 }

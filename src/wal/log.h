@@ -6,9 +6,9 @@
 //   [u32 masked_crc32c][u32 payload_len][u64 record_index][payload bytes]
 //
 // The CRC covers the record_index bytes plus the payload and is stored
-// masked (crc32c.h) so frames whose payloads embed CRCs stay robust. The
-// record_index is the global, gapless sequence number of the record; it is
-// what lets recovery distinguish a duplicated tail frame (index < expected,
+// masked (common/crc32c.h) so frames whose payloads embed CRCs stay robust.
+// The record_index is the global, gapless sequence number of the record; it
+// is what lets recovery distinguish a duplicated tail frame (index < expected,
 // a retried write) from an interior gap (index > expected, lost data).
 //
 // Segment lifecycle: records append to the highest-numbered segment file,
@@ -188,6 +188,13 @@ class Log {
 // cursor can only fall behind the retained prefix if it was *opened* below
 // it (OpenReader clamps, but a concurrent out-of-band Remove could race);
 // that surfaces loudly as kNotFound, the caller's cue to force-resync.
+//
+// The reader trusts no segment byte: it checks every frame it hands out as
+// recovery would (whole, at the expected index, CRC matching), and bounds
+// every length it seeks over by the bytes left. A frame that fails is
+// refused with kInternal naming its index, and the cursor stays on it —
+// the bytes on disk are corrupt, and copying them on would spread the
+// corruption.
 class LogReader {
  public:
   ~LogReader();
@@ -196,7 +203,8 @@ class LogReader {
   LogReader& operator=(const LogReader&) = delete;
 
   // Reads the record at the cursor into *index/*payload and advances.
-  // Returns true on a record, false when caught up with the log's end.
+  // Returns true on a record, false when caught up with the log's end, and
+  // kInternal (cursor unmoved) for a frame that fails its check.
   common::Result<bool> Next(std::uint64_t* index, std::string* payload);
 
   // Index of the record the next Next() will return.

@@ -97,7 +97,9 @@ void WalShipper::ShipRun(const std::string& log_id, std::uint64_t first_index,
                          std::span<const std::string_view> payloads) {
   for (auto& [node, follower] : followers_) {
     if (streams_.count({node, log_id}) > 0) {
-      continue;  // The open stream's reader will reach these frames in order.
+      // The open stream's reader will reach these frames in order; a halted
+      // stream ships nothing past its refused frame.
+      continue;
     }
     SendRun(follower.syncer, log_id, first_index,
             std::vector<std::string>(payloads.begin(), payloads.end()));
@@ -129,7 +131,7 @@ void WalShipper::StartStream(const sim::NodeId& follower, const std::string& log
 
 void WalShipper::PumpStream(const sim::NodeId& follower, const std::string& log_id) {
   auto it = streams_.find({follower, log_id});
-  if (it == streams_.end()) {
+  if (it == streams_.end() || it->second.reader == nullptr) {
     return;
   }
   auto fit = followers_.find(follower);
@@ -147,10 +149,20 @@ void WalShipper::PumpStream(const sim::NodeId& follower, const std::string& log_
   while (burst.size() < kCatchUpBatch) {
     auto more = it->second.reader->Next(&index, &payload);
     if (!more.ok() || !more.value()) {
-      streams_.erase(it);
+      // The frames read before the stream ended are whole and checked.
       if (!burst.empty()) {
         SendRun(syncer, log_id, first_index, std::move(burst));
       }
+      if (!more.ok() && more.status().code() == common::StatusCode::kInternal) {
+        // The reader refused a frame: the leader's own copy is corrupt.
+        // Stop loudly. A snapshot would copy the corrupt segment, and a
+        // restarted stream or the live tail would ship past the hole, so
+        // the halted stream stays to suppress both.
+        Count("wal.repl.corrupt_frames");
+        it->second.reader.reset();
+        return;
+      }
+      streams_.erase(it);
       if (!more.ok()) {
         // kNotFound: the cursor fell below the retained prefix (opened out
         // of band). Recover loudly with a snapshot rather than skipping

@@ -10,7 +10,10 @@
 // message per burst, until the reader reaches the log's end, at which point
 // live-tail shipping resumes seamlessly. If the requested cursor is already below the leader's
 // oldest retained record — GC outran the follower — the shipper answers with
-// a force-resync snapshot of the whole segment directory instead.
+// a force-resync snapshot of the whole segment directory instead. A stream
+// whose reader refuses a frame (a corrupt leader segment) halts: it counts
+// wal.repl.corrupt_frames, ships the checked frames before it and nothing
+// from it on, and sends no snapshot, since that would copy the corruption.
 //
 // Ack accounting: followers ack their durable cursor once per applied
 // message. QuorumAckedNext() reports the highest index durable on a majority
@@ -96,7 +99,10 @@ class WalShipper {
   };
 
   struct Stream {
-    std::unique_ptr<LogReader> reader;  // Pins leader segments while open.
+    // Pins leader segments while open. nullptr once the stream halted at a
+    // frame the reader refused (wal.repl.corrupt_frames): nothing more ships
+    // to this follower for this log until Detach().
+    std::unique_ptr<LogReader> reader;
   };
 
   void ShipRun(const std::string& log_id, std::uint64_t first_index,

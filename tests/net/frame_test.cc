@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "net/messages.h"
@@ -77,6 +79,45 @@ TEST(FrameTest, RoundTripsAcrossChunkSizes) {
   }
 }
 
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// Byte `j` of a golden payload for `record`.
+std::string GoldenPayload(std::size_t record, std::size_t len) {
+  std::string out;
+  for (std::size_t j = 0; j < len; ++j) {
+    out.push_back(static_cast<char>((record * 37 + j * 11 + 5) & 0xff));
+  }
+  return out;
+}
+
+TEST(FrameTest, GoldenFramesDecodeAndReencodeByteForByte) {
+  // A 45-byte DELIVER and an empty HEARTBEAT as the byte-at-a-time CRC32C
+  // kernel encoded them before slicing-by-8: both CRCs of each frame must
+  // still check, and encoding the same frames must give the same bytes.
+  const std::string golden = FromHex(
+      "5350020a2d000000887766554433221124d1f70a057f75d0525d68737e89949f"
+      "aab5c0cbd6e1ecf7020d18232e39444f5a65707b86919ca7b2bdc8d3dee9f4ff"
+      "0a15202b3653500207000000000700000000000000d8ea82a2594d1a22");
+  const Decoded d = RunDecoder(golden, golden.size());
+  ASSERT_EQ(d.error, FrameError::kNone);
+  ASSERT_EQ(d.verbs.size(), 2u);
+  EXPECT_EQ(d.verbs[0], Verb::kDeliver);
+  EXPECT_EQ(d.rids[0], 0x1122334455667788u);
+  EXPECT_EQ(d.payloads[0], GoldenPayload(9, 45));
+  EXPECT_EQ(d.verbs[1], Verb::kHeartbeat);
+  EXPECT_EQ(d.rids[1], 7u);
+  EXPECT_EQ(d.payloads[1], "");
+  EXPECT_EQ(OneFrame(Verb::kDeliver, 0x1122334455667788u, GoldenPayload(9, 45)) +
+                OneFrame(Verb::kHeartbeat, 7, ""),
+            golden);
+}
+
 TEST(FrameTest, TruncationIsNeedMoreWhileOpenAndVisibleAtEof) {
   const std::string frame = OneFrame(Verb::kPublish, 7, "payload-bytes");
   // Every proper prefix: a clean partial frame, never an error.
@@ -132,8 +173,8 @@ TEST(FrameTest, VersionMismatchIsTyped) {
     raw.push_back(static_cast<char>(Verb::kHello));
     PutU32(raw, static_cast<std::uint32_t>(payload.size()));
     PutU64(raw, 1);
-    PutU32(raw, wal::MaskCrc(wal::Crc32c(payload)));
-    PutU32(raw, wal::MaskCrc(wal::Crc32c(std::string_view(raw).substr(0, 20))));
+    PutU32(raw, common::MaskCrc(common::Crc32c(payload)));
+    PutU32(raw, common::MaskCrc(common::Crc32c(std::string_view(raw).substr(0, 20))));
     raw += payload;
     FrameDecoder dec;
     dec.Feed(raw);
@@ -160,8 +201,8 @@ TEST(FrameTest, BadMagicBadVerbOversizedAreTyped) {
     raw.push_back(static_cast<char>(200));  // Unknown verb.
     PutU32(raw, 0);
     PutU64(raw, 1);
-    PutU32(raw, wal::MaskCrc(wal::Crc32c("")));
-    PutU32(raw, wal::MaskCrc(wal::Crc32c(raw.substr(0, 20))));
+    PutU32(raw, common::MaskCrc(common::Crc32c("")));
+    PutU32(raw, common::MaskCrc(common::Crc32c(raw.substr(0, 20))));
     FrameDecoder dec;
     dec.Feed(raw);
     Frame f;
@@ -177,8 +218,8 @@ TEST(FrameTest, BadMagicBadVerbOversizedAreTyped) {
     raw.push_back(static_cast<char>(Verb::kPublish));
     PutU32(raw, 1u << 20);
     PutU64(raw, 1);
-    PutU32(raw, wal::MaskCrc(wal::Crc32c("")));
-    PutU32(raw, wal::MaskCrc(wal::Crc32c(raw.substr(0, 20))));
+    PutU32(raw, common::MaskCrc(common::Crc32c("")));
+    PutU32(raw, common::MaskCrc(common::Crc32c(raw.substr(0, 20))));
     FrameDecoder dec(/*max_payload=*/1024);
     dec.Feed(raw);
     Frame f;

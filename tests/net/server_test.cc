@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "client/client.h"
+#include "common/crc32c.h"
 #include "common/idle_policy.h"
 #include "net/frame_decoder.h"
 #include "net/messages.h"
@@ -212,7 +213,7 @@ std::string FrameStatingVersion(int version, net::Verb verb, std::uint64_t rid,
   net::EncodeFrame(out, verb, rid, payload);
   out[2] = static_cast<char>(version);
   std::string header_crc;
-  net::PutU32(header_crc, wal::MaskCrc(wal::Crc32c(std::string_view(out).substr(0, 20))));
+  net::PutU32(header_crc, common::MaskCrc(common::Crc32c(std::string_view(out).substr(0, 20))));
   out.replace(20, 4, header_crc);
   return out;
 }

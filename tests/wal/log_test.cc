@@ -6,11 +6,11 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
-#include "wal/crc32c.h"
 #include "wal/fault_vfs.h"
 #include "wal/log.h"
 
@@ -40,12 +40,66 @@ common::Result<std::unique_ptr<Log>> OpenCollecting(Vfs* vfs, const std::string&
                    stats);
 }
 
-TEST(Crc32cTest, KnownVectorAndExtension) {
-  // RFC 3720 test vector: crc32c("123456789") == 0xe3069283.
-  EXPECT_EQ(Crc32c("123456789"), 0xe3069283u);
-  // Incremental computation matches one-shot.
-  EXPECT_EQ(Crc32c("6789", Crc32c("12345")), Crc32c("123456789"));
-  EXPECT_EQ(UnmaskCrc(MaskCrc(0xe3069283u)), 0xe3069283u);
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// Byte `j` of a golden payload for `record`.
+std::string GoldenPayload(std::size_t record, std::size_t len) {
+  std::string out;
+  for (std::size_t j = 0; j < len; ++j) {
+    out.push_back(static_cast<char>((record * 37 + j * 11 + 5) & 0xff));
+  }
+  return out;
+}
+
+TEST(WalLogTest, GoldenSegmentRecoversAndReencodesByteForByte) {
+  // Seven records with payloads of 0, 1, 7, 8, 9, 23 and 40 bytes, as the
+  // byte-at-a-time CRC32C kernel wrote them before slicing-by-8. Every frame
+  // must still recover, and appending the same payloads must write the same
+  // bytes: the checksum kernel changed, the format did not.
+  const std::vector<std::size_t> lengths = {0, 1, 7, 8, 9, 23, 40};
+  const std::string golden = FromHex(
+      "29039807000000000000000000000000e0f39cd2010000000100000000000000"
+      "2a069ac6800700000002000000000000004f5a65707b8691c642a90d08000000"
+      "0300000000000000747f8a95a0abb6c1a950c944090000000400000000000000"
+      "99a4afbac5d0dbe6f177722aa2170000000500000000000000bec9d4dfeaf500"
+      "0b16212c37424d58636e79848f9aa5b082bfcc09280000000600000000000000"
+      "e3eef9040f1a25303b46515c67727d88939ea9b4bfcad5e0ebf6010c17222d38"
+      "434e59646f7a8590");
+  FaultVfs vfs;
+  ASSERT_TRUE(vfs.CreateDirs("log").ok());
+  {
+    auto file = vfs.OpenAppend("log/" + SegmentName(0));
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(golden).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  std::vector<Record> records;
+  RecoveryStats stats;
+  auto log = OpenCollecting(&vfs, "log", LogOptions{}, nullptr, &records, &stats);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(stats.torn_tail_bytes, 0u);
+  ASSERT_EQ(records.size(), lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    EXPECT_EQ(records[i].first, i);
+    EXPECT_EQ(records[i].second, GoldenPayload(i, lengths[i])) << "record " << i;
+  }
+
+  FaultVfs fresh;
+  std::vector<Record> none;
+  auto rewritten = OpenCollecting(&fresh, "log", LogOptions{}, nullptr, &none);
+  ASSERT_TRUE(rewritten.ok());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    ASSERT_TRUE((*rewritten)->Append(GoldenPayload(i, lengths[i])).ok());
+  }
+  const std::string* bytes = fresh.MutableContents("log/" + SegmentName(0));
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(*bytes, golden);
 }
 
 TEST(WalLogTest, AppendReplayRoundTrip) {
@@ -460,6 +514,81 @@ TEST(WalLogReaderTest, OpenReaderBelowRetainedPrefixClampsToOldest) {
   ASSERT_TRUE(more.ok());
   ASSERT_TRUE(*more);
   EXPECT_EQ(index, oldest);
+}
+
+TEST(WalLogReaderTest, FlippedPayloadByteIsRefusedAtItsIndex) {
+  // The reader hands out only frames whose CRC checks. The first segment
+  // (64-byte rotation) holds records 0-2 and is sealed.
+  FaultVfs vfs;
+  LogOptions options;
+  options.segment_bytes = 64;
+  std::vector<Record> none;
+  auto log = OpenCollecting(&vfs, "log", options, nullptr, &none);
+  ASSERT_TRUE(log.ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*log)->Append("payload-" + std::to_string(i)).ok());
+  }
+  std::string* raw = vfs.MutableContents("log/" + SegmentName(0));
+  ASSERT_NE(raw, nullptr);
+  const std::size_t at = raw->find("payload-1");
+  ASSERT_NE(at, std::string::npos);
+  (*raw)[at + 3] ^= 0x20;  // "payLoad-1"
+
+  auto reader = (*log)->OpenReader(0);
+  std::uint64_t index = 0;
+  std::string payload;
+  auto first = reader->Next(&index, &payload);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(*first);
+  EXPECT_EQ(payload, "payload-0");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto refused = reader->Next(&index, &payload);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), common::StatusCode::kInternal);
+    EXPECT_NE(refused.status().message().find("index 1"), std::string::npos)
+        << refused.status().ToString();
+    EXPECT_EQ(reader->next_index(), 1u);  // The cursor stays on the refused frame.
+  }
+  // A reader that starts past the corrupt frame seeks over it and reads on.
+  auto later = (*log)->OpenReader(2);
+  auto more = later->Next(&index, &payload);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  ASSERT_TRUE(*more);
+  EXPECT_EQ(payload, "payload-2");
+}
+
+TEST(WalLogReaderTest, CorruptLengthIsRefusedWithoutReadingPastTheSegment) {
+  // A reader opened past a frame walks over its length field to reach the
+  // cursor. A length near 4 GiB must fail that walk, not move the cursor
+  // past the buffer for the next header read (ASan reports any such read).
+  FaultVfs vfs;
+  LogOptions options;
+  options.segment_bytes = 64;
+  std::vector<Record> none;
+  auto log = OpenCollecting(&vfs, "log", options, nullptr, &none);
+  ASSERT_TRUE(log.ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE((*log)->Append("payload-" + std::to_string(i)).ok());
+  }
+  std::string* raw = vfs.MutableContents("log/" + SegmentName(0));
+  ASSERT_NE(raw, nullptr);
+  for (int i = 0; i < 4; ++i) {
+    (*raw)[4 + static_cast<std::size_t>(i)] = static_cast<char>(i == 0 ? 0xf0 : 0xff);
+  }
+
+  std::uint64_t index = 0;
+  std::string payload;
+  for (std::uint64_t from : {1u, 2u}) {
+    auto reader = (*log)->OpenReader(from);
+    auto more = reader->Next(&index, &payload);
+    EXPECT_FALSE(more.ok()) << "from " << from;
+    EXPECT_EQ(reader->next_index(), from);
+  }
+  // At the cursor itself, the same length overruns the segment.
+  auto reader = (*log)->OpenReader(0);
+  auto more = reader->Next(&index, &payload);
+  EXPECT_FALSE(more.ok());
+  EXPECT_EQ(reader->next_index(), 0u);
 }
 
 TEST(WalLogTest, ReplayErrorAbortsOpen) {

@@ -344,6 +344,45 @@ TEST_F(WalReplicationTest, GcOutrunningFollowerForcesResync) {
   EXPECT_EQ(*leader_seg, *follower_seg);
 }
 
+TEST_F(WalReplicationTest, CorruptLeaderFrameHaltsCatchUpLoudly) {
+  // A catch-up stream reads the leader's segment files, not its memory. A
+  // frame whose bytes rotted on disk must stop the stream loudly: shipped
+  // on, the follower re-frames it under a fresh CRC and replays it as valid.
+  log_options_.segment_bytes = 96;
+  OpenLeader();
+  shipper_->Track("log", leader_log_.get());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(leader_log_->Append("r" + std::to_string(i) + "-abcdef").ok());
+  }
+  ASSERT_GT(leader_log_->Segments().size(), 1u);
+  std::string* sealed = leader_vfs_.MutableContents("leader/log/" + Log::SegmentFileName(0));
+  ASSERT_NE(sealed, nullptr);
+  const std::size_t at = sealed->find("r1-abcdef");
+  ASSERT_NE(at, std::string::npos);
+  (*sealed)[at + 4] ^= 0x20;  // "r1-aBcdef"
+
+  CatchUpSyncer* f = AddFollower("f1");  // Catches up through a stream.
+  Settle();
+  for (int i = 20; i < 25; ++i) {  // Live appends do not ship past the hole.
+    ASSERT_TRUE(leader_log_->Append("r" + std::to_string(i) + "-abcdef").ok());
+    Settle();
+  }
+  EXPECT_GE(Counter("wal.repl.corrupt_frames"), 1);
+  EXPECT_EQ(Counter("wal.repl.force_resyncs_sent"), 0);
+  EXPECT_LE(shipper_->QuorumAckedNext("log"), 1u);
+  EXPECT_EQ(f->DurableNextIndex("log"), 1u);
+
+  f->Crash();
+  std::vector<std::string> replayed;
+  auto reopened = Log::Open(followers_vfs_[0].get(), "f1/log", log_options_, nullptr,
+                            [&replayed](std::uint64_t, std::string_view payload) {
+                              replayed.emplace_back(payload);
+                              return common::Status::Ok();
+                            });
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(replayed, std::vector<std::string>{"r0-abcdef"});
+}
+
 TEST_F(WalReplicationTest, FollowerCrashRestartResumesFromDurableCursor) {
   OpenLeader();
   CatchUpSyncer* f = AddFollower("f1");
